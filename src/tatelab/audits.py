@@ -9,7 +9,8 @@ from . import linalg
 from .fields import field_from_spec
 from .invariants import (aq_ranks, characteristic_window, ci_check, deviations,
                          with_free_base)
-from .presentations import Presentation, PresentationError, parse_polynomial
+from .presentations import (Presentation, PresentationError,
+                            parse_polynomial, parse_variables)
 from .resolution import build_minimal_model, kernel_generators
 
 
@@ -135,8 +136,8 @@ def build_layer_chain(docs):
         if not isinstance(doc, dict):
             raise AuditError("each tower layer must be a presentation object")
         field = field_from_spec(doc.get("field"))
-        vars_ = [(v["name"], v["degree"]) for v in doc.get("variables", [])]
         try:
+            vars_ = parse_variables(doc.get("variables", []))
             p = Presentation(field, vars_, doc.get("relators", []), base=prev)
         except PresentationError as exc:
             raise AuditError("bad tower layer: %s" % exc)

@@ -4,26 +4,56 @@ All arithmetic is exact -- no floats anywhere in the engine.  Field
 elements are plain Python values (``Fraction`` for Q, ``int`` in
 ``range(p)`` for F_p); the field object supplies the operations, so the
 linear algebra and ring layers stay field-agnostic.
+
+Each field also fixes the row form that ``linalg`` eliminates in: a
+nonzero scalar multiple of a sparse field vector, chosen so that one
+elimination step is cheap.  ``to_row`` maps a field vector into it,
+``eliminate`` clears one coordinate, ``pivot_row`` normalises a row
+before it is stored as a pivot, and ``from_row`` gives back the field
+vector scaled to lead coefficient 1.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class FieldError(ValueError):
     pass
 
 
+# Miller-Rabin to the prime bases 2..41 has no strong pseudoprime below
+# this bound (Sorenson and Webster, Math. Comp. 86, 2017), so the test is
+# a proof there; larger characteristics are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n):
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def _primitive(row):
+    g = gcd(*row.values())
+    return {k: c // g for k, c in row.items()} if g > 1 else row
 
 
 class Rationals:
@@ -60,6 +90,36 @@ class Rationals:
     def to_str(self, a):
         return str(a)
 
+    # Row form: primitive integer vectors (coprime ints, no Fractions).
+
+    def to_row(self, v):
+        den = lcm(*[x.denominator for x in v.values()])
+        return _primitive({k: x.numerator * (den // x.denominator)
+                           for k, x in v.items()})
+
+    def eliminate(self, out, row, j):
+        """Primitive part of a*out - b*row, with a/b = row[j]/out[j] in lowest terms."""
+        x, y = row[j], out[j]
+        g = gcd(x, y)
+        a, b = x // g, y // g
+        if a < 0:
+            a, b = -a, -b
+        new = dict(out) if a == 1 else {k: a * c for k, c in out.items()}
+        for k, c in row.items():
+            s = new.get(k, 0) - b * c
+            if s:
+                new[k] = s
+            else:
+                del new[k]
+        return _primitive(new)
+
+    def pivot_row(self, row, j):
+        return row
+
+    def from_row(self, row, j):
+        lead = row[j]
+        return {k: Fraction(c, lead) for k, c in row.items()}
+
     def spec(self):
         return {"type": "Q"}
 
@@ -79,6 +139,9 @@ class PrimeField:
     kind = "Fp"
 
     def __init__(self, p):
+        if isinstance(p, int) and p >= _MR_LIMIT:
+            raise FieldError("field characteristic %d is too large: primality "
+                             "is certified only below %d" % (p, _MR_LIMIT))
         if not isinstance(p, int) or not _is_prime(p):
             raise FieldError("field characteristic must be prime, got %r" % (p,))
         self.p = p
@@ -110,6 +173,34 @@ class PrimeField:
 
     def to_str(self, a):
         return str(a % self.p)
+
+    # Row form: the field vector itself; stored pivot rows have lead 1.
+
+    def to_row(self, v):
+        return dict(v)
+
+    def eliminate(self, out, row, j):
+        """out - out[j]*row, for a row with row[j] == 1."""
+        p = self.p
+        c = -out[j] % p
+        new = dict(out)
+        for k, x in row.items():
+            s = (new.get(k, 0) + c * x) % p
+            if s:
+                new[k] = s
+            else:
+                del new[k]
+        return new
+
+    def pivot_row(self, row, j):
+        if row[j] == 1:
+            return row
+        p = self.p
+        inv = pow(row[j], p - 2, p)
+        return {k: c * inv % p for k, c in row.items()}
+
+    def from_row(self, row, j):
+        return row
 
     def spec(self):
         return {"type": "Fp", "p": self.p}

@@ -3,30 +3,19 @@
 Vectors are dicts {index: nonzero scalar}.  A matrix is a list of sparse
 columns plus an explicit row count.  Pivots are always taken at the
 smallest available index, so every derived basis (row echelon, kernel,
-image, complement) is deterministic and, for a fixed span, canonical.
+image) is deterministic and, for a fixed span, canonical.
+
+Elimination works on the field's row form (``field.to_row``): primitive
+integer vectors over Q, so that no Fraction is built until ``rref``
+returns its lead-1 rows, and the field vectors themselves over F_p.  A
+row form vector is a nonzero scalar multiple of the field vector it
+stands for, so every lead index and rank is the one plain field
+arithmetic would give.
 """
 
 
-def vec_add_scaled(u, v, c, field):
-    """Return u + c*v as a fresh sparse dict."""
-    out = dict(u)
-    for j, x in v.items():
-        s = field.add(out.get(j, field.zero), field.mul(c, x))
-        if field.is_zero(s):
-            out.pop(j, None)
-        else:
-            out[j] = s
-    return out
-
-
-def vec_scale(v, c, field):
-    if field.is_zero(c):
-        return {}
-    return {j: field.mul(c, x) for j, x in v.items()}
-
-
 class Echelon:
-    """Incremental row-echelon span; rows are kept with lead coefficient 1.
+    """Incremental row-echelon span; rows are kept in the field's row form.
 
     Stored rows only ever have support at indices >= their lead, so
     reduction scans strictly left to right and terminates.
@@ -34,16 +23,17 @@ class Echelon:
 
     def __init__(self, field):
         self.field = field
-        self.rows = {}  # lead index -> row
+        self.rows = {}  # lead index -> row, in row form
 
     def reduce(self, v):
-        out = dict(v)
+        field, rows = self.field, self.rows
+        out = field.to_row(v)
         while out:
             j = min(out)
-            row = self.rows.get(j)
+            row = rows.get(j)
             if row is None:
                 return out
-            out = vec_add_scaled(out, row, self.field.neg(out[j]), self.field)
+            out = field.eliminate(out, row, j)
         return out
 
     def add(self, v):
@@ -52,7 +42,7 @@ class Echelon:
         if not r:
             return None
         j = min(r)
-        self.rows[j] = vec_scale(r, self.field.inv(r[j]), self.field)
+        self.rows[j] = self.field.pivot_row(r, j)
         return j
 
     def contains(self, v):
@@ -78,9 +68,9 @@ def rref(vectors, field):
         row = ech.rows[j]
         for k in sorted(row):
             if k != j and k in reduced:
-                row = vec_add_scaled(row, reduced[k], field.neg(row[k]), field)
+                row = field.eliminate(row, reduced[k], k)
         reduced[j] = row
-    return pivots, reduced
+    return pivots, {j: field.from_row(reduced[j], j) for j in pivots}
 
 
 def transpose(cols, nrows):
@@ -92,22 +82,19 @@ def transpose(cols, nrows):
 
 
 class SolveResult:
-    __slots__ = ("rank", "kernel", "image", "complement")
+    __slots__ = ("rank", "kernel", "image")
 
-    def __init__(self, rank, kernel, image, complement):
+    def __init__(self, rank, kernel, image):
         self.rank = rank
         self.kernel = kernel
         self.image = image
-        self.complement = complement
 
 
 def solve_cols(cols, nrows, field):
-    """Rank, kernel basis, image basis, and image complement of a matrix.
+    """Rank, kernel basis and image basis of a matrix, from one elimination.
 
     The kernel basis is in canonical (RREF-derived) form; the image basis
-    is the pivot columns of the original matrix; the complement is a set
-    of standard basis vectors of the codomain that extends the image to
-    the full codomain.
+    is the pivot columns of the original matrix.
     """
     pivots, red = rref(transpose(cols, nrows), field)
     pivset = set(pivots)
@@ -122,22 +109,5 @@ def solve_cols(cols, nrows, field):
                 v[p] = field.neg(c)
         kernel.append(v)
     image = [dict(cols[p]) for p in pivots]
-    ech = Echelon(field)
-    for col in cols:
-        ech.add(col)
-    complement = [{i: field.one} for i in range(nrows) if i not in ech.rows]
     assert len(pivots) + len(kernel) == len(cols)
-    return SolveResult(len(pivots), kernel, image, complement)
-
-
-def to_dense(v, n):
-    return [v.get(i, 0) for i in range(n)]
-
-
-def from_dense(row, field):
-    out = {}
-    for i, c in enumerate(row):
-        x = c if not isinstance(c, int) else field.from_int(c)
-        if not field.is_zero(x):
-            out[i] = x
-    return out
+    return SolveResult(len(pivots), kernel, image)

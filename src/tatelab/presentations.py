@@ -105,6 +105,18 @@ def parse_polynomial(text, names):
     return poly
 
 
+def parse_variables(entries):
+    """JSON variable entries [{"name": .., "degree": ..}] -> [(name, degree)]."""
+    if not isinstance(entries, list):
+        raise PresentationError("'variables' must be a list")
+    variables = []
+    for v in entries:
+        if not isinstance(v, dict) or "name" not in v or "degree" not in v:
+            raise PresentationError("variable entries need 'name' and 'degree'")
+        variables.append((v["name"], v["degree"]))
+    return variables
+
+
 def _monomials(weights, d):
     # descending lex within fixed weighted degree d
     if not weights:
@@ -143,9 +155,9 @@ class Presentation:
         if len(set(names)) != len(names):
             raise PresentationError("duplicate variable names")
         for nm, w in variables:
-            if not _NAME.match(nm or ""):
+            if not isinstance(nm, str) or not _NAME.match(nm):
                 raise PresentationError("bad variable name %r" % (nm,))
-            if not isinstance(w, int) or w < 1:
+            if not isinstance(w, int) or isinstance(w, bool) or w < 1:
                 raise PresentationError("variable %s needs integer degree >= 1" % nm)
         self.field = field
         self.variables = tuple((nm, w) for nm, w in variables)
@@ -191,11 +203,7 @@ class Presentation:
             if key not in doc:
                 raise PresentationError("presentation is missing %r" % key)
         field = field_from_spec(doc["field"])
-        variables = []
-        for v in doc["variables"]:
-            if not isinstance(v, dict) or "name" not in v or "degree" not in v:
-                raise PresentationError("variable entries need 'name' and 'degree'")
-            variables.append((v["name"], v["degree"]))
+        variables = parse_variables(doc["variables"])
         base = None
         if doc.get("base_relators") is not None:
             base = cls(field, variables, doc["base_relators"])

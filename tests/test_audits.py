@@ -87,6 +87,11 @@ def test_layer_chain_validation():
     broken[2] = dict(broken[2], relators=["z^2"])   # not an extension
     with pytest.raises(AuditError):
         build_layer_chain(broken)
+    for variables in (5, [{"degree": 1}]):
+        broken = [dict(l) for l in doc["tower"]]
+        broken[1] = dict(broken[1], variables=variables)
+        with pytest.raises(AuditError):
+            build_layer_chain(broken)
 
 
 # -- witness verification -----------------------------------------------------

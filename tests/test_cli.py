@@ -234,6 +234,22 @@ def test_invalid_relator_rejected(tmp_path, capsys):
     assert "homogeneous" in err
 
 
+@pytest.mark.parametrize("variables, message", [
+    (5, "'variables' must be a list"),
+    ([{"name": "x", "degree": True}], "integer degree"),
+    ([{"name": 5, "degree": 1}], "bad variable name"),
+], ids=["not-a-list", "boolean-degree", "non-string-name"])
+def test_malformed_variables_rejected(tmp_path, capsys, variables, message):
+    doc = {"field": {"type": "Q"}, "variables": variables, "relators": ["x^2"]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "deviations", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+
+
 def test_bound_violations(capsys):
     code, _, err = run(capsys, "betti", "--input", cat("hyp_q"), "--N", "1")
     assert code == 1

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -66,3 +67,26 @@ def test_field_equality_and_hash():
     assert PrimeField(5) != PrimeField(7)
     assert QQ != PrimeField(5)
     assert len({PrimeField(5), PrimeField(5), QQ}) == 2
+
+
+def test_large_prime_accepted_quickly():
+    start = time.process_time()
+    f = field_from_spec({"type": "Fp", "p": 1000000000000000003})
+    assert f.p == 1000000000000000003
+    assert time.process_time() - start < 1.0
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,                 # strong pseudoprime to the bases 2, 3, 5, 7
+    3825123056546413051,        # ... to the bases 2 through 23
+    318665857834031151167461,   # ... to the bases 2 through 37
+])
+def test_strong_pseudoprimes_rejected(n):
+    with pytest.raises(FieldError, match="must be prime"):
+        PrimeField(n)
+
+
+def test_characteristic_beyond_certified_range_refused():
+    # 2^89 - 1 is prime, but above the bound where the test is a proof
+    with pytest.raises(FieldError, match="too large"):
+        PrimeField(2 ** 89 - 1)

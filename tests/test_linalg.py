@@ -7,16 +7,49 @@ computed with Fraction arithmetic — same math, different code path.
 import random
 from fractions import Fraction
 
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+import oracles
 from tatelab.fields import PrimeField, QQ
-from tatelab.linalg import (Echelon, from_dense, rref, solve_cols, to_dense,
-                            vec_add_scaled)
+from tatelab.linalg import Echelon, rref, solve_cols
 
 
-def test_vec_add_scaled_cancels():
-    u = {0: Fraction(1), 2: Fraction(3)}
-    v = {0: Fraction(1), 1: Fraction(2)}
-    w = vec_add_scaled(u, v, Fraction(-1), QQ)
-    assert w == {1: Fraction(-2), 2: Fraction(3)}
+def to_dense(v, n):
+    return [v.get(i, 0) for i in range(n)]
+
+
+def from_dense(row, field):
+    out = {}
+    for i, c in enumerate(row):
+        x = c if not isinstance(c, int) else field.from_int(c)
+        if not field.is_zero(x):
+            out[i] = x
+    return out
+
+
+def apply_cols(cols, v, field):
+    """The image sum_j v[j] * cols[j] as a sparse dict."""
+    out = {}
+    for j, c in v.items():
+        for i, x in cols[j].items():
+            s = field.add(out.get(i, field.zero), field.mul(c, x))
+            if field.is_zero(s):
+                out.pop(i, None)
+            else:
+                out[i] = s
+    return out
+
+
+def test_eliminate_cancels():
+    # Q rows are primitive integer vectors: 2*(2, 0, 6) - 1*(4, 2, 0) = (0, -2, 12),
+    # primitive part (0, -1, 6)
+    assert QQ.eliminate({0: 2, 2: 6}, {0: 4, 1: 2}, 0) == {1: -1, 2: 6}
+    assert QQ.to_row({0: Fraction(1, 2), 1: Fraction(-3, 4)}) == {0: 2, 1: -3}
+    assert QQ.from_row({1: -2, 3: 6}, 1) == {1: Fraction(1), 3: Fraction(-3)}
+    f5 = PrimeField(5)
+    assert f5.eliminate({0: 3, 1: 2}, {0: 1, 1: 1, 2: 4}, 0) == {1: 4, 2: 3}
+    assert f5.pivot_row({2: 3, 4: 1}, 2) == {2: 1, 4: 2}
 
 
 def test_echelon_rank_counts_independent_vectors():
@@ -55,7 +88,6 @@ def test_solve_cols_small_example():
     assert res.rank == 1
     assert len(res.kernel) == 1
     assert to_dense(res.kernel[0], 2) == [-1, 1]
-    assert res.complement == []
 
 
 def test_solve_cols_zero_map():
@@ -63,7 +95,6 @@ def test_solve_cols_zero_map():
     res = solve_cols(cols, 2, QQ)
     assert res.rank == 0
     assert len(res.kernel) == 2
-    assert len(res.complement) == 2
 
 
 def _dense_rank(rows, fld):
@@ -102,13 +133,9 @@ def test_solve_cols_random_rank_nullity():
                     for i in range(nrows)]
             assert res.rank == _dense_rank(rows, fld)
             assert res.rank + len(res.kernel) == ncols
-            assert res.rank + len(res.complement) == nrows
             # kernel vectors actually die
             for v in res.kernel:
-                out = {}
-                for j, c in v.items():
-                    out = vec_add_scaled(out, cols[j], c, fld)
-                assert out == {}
+                assert apply_cols(cols, v, fld) == {}
 
 
 def test_solve_cols_kernel_is_deterministic():
@@ -117,3 +144,67 @@ def test_solve_cols_kernel_is_deterministic():
     r2 = solve_cols([dict(c) for c in cols], 2, QQ)
     assert r1.kernel == r2.kernel
     assert r1.image == r2.image
+
+
+def _fraction_leads(vectors):
+    """Lead index each vector adds to a plain lead-1 Fraction echelon, or None."""
+    rows, leads = {}, []
+    for v in vectors:
+        out = dict(v)
+        while out and min(out) in rows:
+            j = min(out)
+            c = out[j]
+            for k, x in rows[j].items():
+                s = out.get(k, 0) - c * x
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+        if out:
+            j = min(out)
+            rows[j] = {k: x / out[j] for k, x in out.items()}
+            leads.append(j)
+        else:
+            leads.append(None)
+    return leads
+
+
+_big_rational = st.builds(Fraction, st.integers(-10**6, 10**6),
+                          st.integers(1, 9))
+
+
+@st.composite
+def _rational_rows(draw):
+    """Dense Q rows with large non-integral entries, then dependent and
+    duplicate rows drawn from them."""
+    ncols = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(Fraction(0)), _big_rational)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        a, b = draw(_big_rational), draw(_big_rational)
+        rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+    for _ in range(draw(st.integers(0, 2))):
+        rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
+    return draw(st.permutations(rows))
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None, database=None)
+@given(_rational_rows())
+def test_rref_matches_oracle_on_large_rationals(dense):
+    ncols = len(dense[0])
+    vecs = [from_dense(r, QQ) for r in dense]
+    pivots, rows = rref(vecs, QQ)
+    opivots, orows = oracles.rref(dense, oracles.OField(None))
+    assert pivots == opivots
+    assert [to_dense(rows[p], ncols) for p in pivots] == orows
+    ech = Echelon(QQ)
+    assert [ech.add(v) for v in vecs] == _fraction_leads(vecs)
+    cols = [from_dense([r[j] for r in dense], QQ) for j in range(ncols)]
+    res = solve_cols(cols, len(dense), QQ)
+    assert res.rank == len(opivots)
+    for v in res.kernel:
+        assert apply_cols(cols, v, QQ) == {}
