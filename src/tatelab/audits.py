@@ -7,11 +7,12 @@ growth probe is non-certifying: it reports a diagnostic and never fails.
 
 from . import linalg
 from .fields import field_from_spec
-from .invariants import (aq_ranks, characteristic_window, ci_check, deviations,
-                         with_free_base)
+from .invariants import (aq_ranks, characteristic_window, ci_check, ci_verdict,
+                         deviations, hilbert_product, model_deviations,
+                         model_stage, with_free_base)
 from .presentations import (Presentation, PresentationError,
                             parse_polynomial, parse_variables)
-from .resolution import build_minimal_model, kernel_generators
+from .resolution import build_minimal_model, ideal_span, kernel_generators
 
 
 class AuditError(ValueError):
@@ -65,8 +66,9 @@ def rigidity_audit(pres, N, D):
     as the contrapositive: a non-c.i. instance must have eps_n > 0 for
     every 4 <= n <= N, and a c.i. instance eps_n = 0 for 3 <= n <= N."""
     based = with_free_base(pres)
-    verdict = ci_check(based, D)
-    dev = deviations(based, N, D, "minimal-model")
+    model = build_minimal_model(based, max(model_stage(N), 2), D)
+    verdict = ci_verdict(based, model, D)
+    dev = model_deviations(model, N, D)
     checks = [_check("ci verdict is decisive", verdict.is_ci,
                      verdict.is_ci in ("yes", "no"))]
     if verdict.is_ci == "no":
@@ -148,32 +150,11 @@ def build_layer_chain(docs):
 
 def _ideal_span_ranks(ground, gens_a, gens_b, D):
     """Per-degree ranks of span(a), span(b), span(a+b) inside the ground ring."""
-    field = ground.field
-
-    def spans(gens):
-        rows = {d: [] for d in range(D + 1)}
-        for g in gens:
-            e = ground.degree_of(next(iter(g)))
-            for d in range(e, D + 1):
-                for s in ground.quotient_basis(d - e).monomials:
-                    prod = ground.multiply({s: field.one}, g)
-                    if prod:
-                        rows[d].append(ground.coords(prod, d))
-        return rows
-
-    ra, rb = spans(gens_a), spans(gens_b)
     out = []
     for d in range(D + 1):
-        ea = linalg.Echelon(field)
-        for v in ra[d]:
-            ea.add(v)
-        eb = linalg.Echelon(field)
-        for v in rb[d]:
-            eb.add(v)
-        eab = linalg.Echelon(field)
-        for v in ra[d] + rb[d]:
-            eab.add(v)
-        out.append((ea.rank, eb.rank, eab.rank))
+        ra, rb = ideal_span(ground, gens_a, d), ideal_span(ground, gens_b, d)
+        out.append(tuple(len(linalg.rref(rows, ground.field)[0])
+                         for rows in (ra, rb, ra + rb)))
     return out
 
 
@@ -206,16 +187,8 @@ def verify_regular_witness(r_pres, s_pres, witness_polys, D):
             raise AuditError(
                 "witness verification failed: witness ideal and kernel ideal "
                 "differ in internal degree %d" % d)
-    from .invariants import _series_mul
-    prod = r_pres.hilbert(D)
-    for g in wits:
-        e = r_pres.degree_of(next(iter(g)))
-        factor = [0] * (D + 1)
-        factor[0] = 1
-        if e <= D:
-            factor[e] = -1
-        prod = _series_mul(prod, factor, D)
-    if prod != s_pres.hilbert(D):
+    degrees = [r_pres.degree_of(next(iter(g))) for g in wits]
+    if hilbert_product(r_pres, degrees, D) != s_pres.hilbert(D):
         raise AuditError(
             "witness verification failed: Hilbert series of the quotient does "
             "not match the regular-sequence product through degree %d" % D)

@@ -136,10 +136,19 @@ def _cmd_model_print(args):
     return 0
 
 
+def _doc_bound(doc, key, default, least):
+    """A bound from the audit document, checked like the CLI flags."""
+    value = doc.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError("audit document bound %r must be an integer >= %d"
+                         % (key, least))
+    return value
+
+
 def _cmd_audit(args):
     doc = _load(args.input)
-    N = doc.get("N", args.N)
-    D = doc.get("D", args.D)
+    N = _doc_bound(doc, "N", args.N, 2)
+    D = _doc_bound(doc, "D", args.D, 2)
     if "tower" in doc:
         layers = build_layer_chain(doc["tower"])
     else:
@@ -156,7 +165,7 @@ def _cmd_audit(args):
     elif args.kind == "jacobi-zariski":
         if layers is None:
             raise ValueError("jacobi-zariski audit needs a 'tower' of three layers")
-        i_max = doc.get("i_max", max(1, (N - 1) // 2))
+        i_max = _doc_bound(doc, "i_max", max(1, (N - 1) // 2), 1)
         report = jacobi_zariski_audit(layers, doc.get("witness", []), i_max, D)
     else:  # ci-vanishing
         if layers is None:

@@ -14,9 +14,7 @@ the dictionary is not asserted at all: entries carry a status instead
 of a number.
 """
 
-from .resolution import (build_acyclic_closure, build_minimal_model,
-                         kernel_generators, koszul_on_minimal_generators,
-                         minimal_generators)
+from .resolution import build_acyclic_closure, build_minimal_model
 
 
 class InsufficientCertification(ValueError):
@@ -65,25 +63,37 @@ def deviations(pres, N, D, route="acyclic-closure"):
     """
     if route not in ROUTES:
         raise ValueError("unknown route %r" % (route,))
+    if route == "minimal-model":
+        return model_deviations(build_minimal_model(pres, model_stage(N), D), N, D)
     if N < 1:
         raise ValueError("N must be >= 1")
-    if route == "acyclic-closure":
-        tower = build_acyclic_closure(pres, N, D)
-        counts = {n: len(tower.variables_of_hdeg(n)) for n in range(1, N + 1)}
-        return DeviationTable(route, N, D, counts)
+    tower = build_acyclic_closure(pres, N, D)
+    counts = {n: len(tower.variables_of_hdeg(n)) for n in range(1, N + 1)}
+    return DeviationTable(route, N, D, counts)
+
+
+def model_stage(N):
+    """Model stage that carries eps_N; the minimal-model route starts at eps_2."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if N < 2:
         raise ValueError("the minimal-model route starts at eps_2; N must be >= 2")
-    tower = build_minimal_model(pres, N - 1, D)
-    counts = {n: len(tower.variables_of_hdeg(n - 1)) for n in range(2, N + 1)}
-    return DeviationTable(route, N, D, counts)
+    return N - 1
+
+
+def model_deviations(model, N, D):
+    """eps_2..eps_N read off a minimal model built to stage >= N - 1."""
+    counts = {n: len(model.variables_of_hdeg(n - 1)) for n in range(2, N + 1)}
+    return DeviationTable("minimal-model", N, D, counts)
 
 
 def d2_rank_via_koszul(pres, D):
     """Minimal generator count of H_1 of the Koszul complex on a minimal
-    generating set of the kernel, through internal degree D.  This equals
-    the rank of the degree-2 cotangent homology and cross-checks eps_3."""
-    tower = koszul_on_minimal_generators(pres, D)
-    return len(minimal_generators(tower, 1, D))
+    generating set of the kernel, through internal degree D.  Stage 1 of
+    the minimal model over the free base is that Koszul complex, so this
+    is the number of stage-2 model variables: the rank of the degree-2
+    cotangent homology, which is eps_3."""
+    return len(build_minimal_model(with_free_base(pres), 2, D).variables_of_hdeg(2))
 
 
 def _series_mul(a, b, T):
@@ -132,44 +142,44 @@ def with_free_base(pres):
                         base=pres.free_base())
 
 
-def ci_check(pres, D):
-    """Is the kernel of base ->> pres generated by a regular sequence?
+def hilbert_product(ground, degrees, D):
+    """hilb(ground) * prod(1 - t^e) over the given degrees, through t^D:
+    the Hilbert series of ground modulo a regular sequence of those degrees."""
+    out = ground.hilbert(D)
+    for e in degrees:
+        out = [c - (out[k - e] if k >= e else 0) for k, c in enumerate(out)]
+    return out
 
-    Two oracles: the Koszul-homology count (zero iff regular sequence,
-    certified through D) and the Hilbert-series product test
-    hilb(quotient) == hilb(base) * prod(1 - t^{deg g_i}) through D.
-    They must agree for a certified verdict.
+
+def ci_check(pres, D):
+    """Is the kernel of base ->> pres generated by a regular sequence?"""
+    based = with_free_base(pres)
+    return ci_verdict(based, build_minimal_model(based, 2, D), D)
+
+
+def ci_verdict(pres, model, D):
+    """The c.i. verdict read off a minimal model of base ->> pres built to
+    stage >= 2.
+
+    Two oracles: the Koszul-homology count (the stage-2 variables, zero
+    iff the stage-1 variables kill a regular sequence, certified through
+    D) and the Hilbert-series product test
+    hilb(quotient) == hilb(base) * prod(1 - t^{deg g_i}) through D over
+    the stage-1 degrees.  They must agree for a certified verdict.
     """
-    ground = pres.free_base()
-    gens = kernel_generators(pres)
-    if not gens:
-        return CiVerdict("yes",
-                         {"epsilon3": 0, "koszul_h1_mu": 0, "hilbert_match": True,
-                          "kernel_generators": 0},
-                         ["regular homomorphism"], D)
-    mu = d2_rank_via_koszul(pres, D)
-    eps3 = deviations(with_free_base(pres), 3, D, "minimal-model")[3]
-    hs = pres.hilbert(D)
-    prod = ground.hilbert(D)
-    for d, _ in gens:
-        factor = [0] * (D + 1)
-        factor[0] = 1
-        if d <= D:
-            factor[d] = -1
-        prod = _series_mul(prod, factor, D)
-    match = hs == prod
+    degrees = [v.ideg for v in model.variables_of_hdeg(1)]
+    mu = len(model.variables_of_hdeg(2))
+    match = pres.hilbert(D) == hilbert_product(model.ground, degrees, D)
     if mu > 0:
-        verdict = "no"
+        verdict, flags = "no", []
     elif match:
-        verdict = "yes"
+        # no stage-1 variables: the base already is the quotient
+        verdict, flags = "yes", [] if degrees else ["regular homomorphism"]
     else:
-        verdict = "uncertified"
-    flags = []
-    if verdict == "uncertified":
-        flags.append("oracles disagree within certified bounds")
+        verdict, flags = "uncertified", ["oracles disagree within certified bounds"]
     return CiVerdict(verdict,
-                     {"epsilon3": eps3, "koszul_h1_mu": mu, "hilbert_match": match,
-                      "kernel_generators": len(gens)},
+                     {"epsilon3": mu, "koszul_h1_mu": mu, "hilbert_match": match,
+                      "kernel_generators": len(degrees)},
                      flags, D)
 
 

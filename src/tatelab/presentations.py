@@ -163,11 +163,13 @@ class Presentation:
         self.variables = tuple((nm, w) for nm, w in variables)
         self.names = tuple(names)
         self.weights = tuple(w for _, w in variables)
+        if not isinstance(relators, (list, tuple)):
+            raise PresentationError("'relators' must be a list")
         rels = []
         for f in relators:
             if not isinstance(f, dict):
                 f = parse_polynomial(f, self.names)
-            if not f:
+            if all(field.is_zero(field.from_int(c)) for c in f.values()):
                 raise PresentationError("zero relator")
             degs = {self.degree_of(m) for m in f}
             if len(degs) != 1:
@@ -202,14 +204,17 @@ class Presentation:
         for key in ("field", "variables", "relators"):
             if key not in doc:
                 raise PresentationError("presentation is missing %r" % key)
+        for key in ("relators", "base_relators"):
+            if doc.get(key) is not None and not isinstance(doc[key], list):
+                raise PresentationError("%r must be a list" % key)
         field = field_from_spec(doc["field"])
         variables = parse_variables(doc["variables"])
         base = None
         if doc.get("base_relators") is not None:
             base = cls(field, variables, doc["base_relators"])
             n = len(base.relators)
-            rel_polys = [parse_polynomial(r, tuple(v[0] for v in variables))
-                         if isinstance(r, str) else dict(r)
+            rel_polys = [r if isinstance(r, dict) else
+                         parse_polynomial(r, tuple(v[0] for v in variables))
                          for r in doc["relators"]]
             if tuple(base.relators) != tuple(rel_polys[:n]):
                 raise PresentationError("base_relators must be a prefix of relators")

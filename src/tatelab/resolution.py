@@ -39,48 +39,49 @@ class HomologyPiece:
         return "HomologyPiece(n=%d, d=%d, dim=%d)" % (self.n, self.d, self.dimension)
 
 
+def ideal_span(ground, gens, d):
+    """Coordinates of the degree-d multiples s*g of ground elements g.
+
+    s runs over the standard monomials of degree d - deg(g); generators
+    of degree > d contribute nothing.  The rows span the degree-d part
+    of the ideal the gens generate.
+    """
+    field = ground.field
+    rows = []
+    for g in gens:
+        e = ground.degree_of(next(iter(g)))
+        if e > d:
+            continue
+        for s in ground.quotient_basis(d - e).monomials:
+            prod = ground.multiply({s: field.one}, g)
+            if prod:
+                rows.append(ground.coords(prod, d))
+    return rows
+
+
 def kernel_generators(pres):
     """Minimal homogeneous generators of the kernel of base ->> pres.
 
     Returns [(degree, reduced ground element)] ascending by degree; the
     choice is canonical (echelon representatives of the per-degree ideal
-    span, taken in order).  An ideal generated in degrees <= e needs no
-    minimal generator above e, so the scan is finite.
+    span, taken in order).  In degree d the decomposable part (m*I)_d is
+    spanned by the multiples of the generators found below d.  An ideal
+    generated in degrees <= e needs no minimal generator above e, so the
+    scan is finite.
     """
     ground = pres.free_base()
-    field = pres.field
-    raw = []
-    for f in pres.relators[len(ground.relators):]:
-        g = ground.from_int_poly(f)
-        if g:
-            raw.append((ground.degree_of(next(iter(g))), g))
-    if not raw:
-        return []
-    maxdeg = max(d for d, _ in raw)
-    span_rows = {}  # degree -> list of canonical echelon rows (coord dicts)
+    raw = [g for g in map(ground.from_int_poly, pres.relators[len(ground.relators):])
+           if g]
+    top = max((ground.degree_of(next(iter(g))) for g in raw), default=1)
     gens = []
-    for d in range(2, maxdeg + 1):
-        rows = []
-        for e, g in raw:
-            if e > d:
-                continue
-            for s in ground.quotient_basis(d - e).monomials:
-                prod = ground.multiply({s: field.one}, g)
-                if prod:
-                    rows.append(ground.coords(prod, d))
-        pivots, red = linalg.rref(rows, field)
-        span_rows[d] = [red[p] for p in pivots]
-        sub = linalg.Echelon(field)
-        for i, (nm, w) in enumerate(ground.variables):
-            for row in span_rows.get(d - w, ()):
-                elem = ground.element(row, d - w)
-                vmono = tuple(1 if k == i else 0 for k in range(len(ground.names)))
-                prod = ground.multiply({vmono: field.one}, elem)
-                if prod:
-                    sub.add(ground.coords(prod, d))
-        for row in span_rows[d]:
-            if sub.add(row) is not None:
-                gens.append((d, ground.element(row, d)))
+    for d in range(2, top + 1):
+        pivots, red = linalg.rref(ideal_span(ground, raw, d), ground.field)
+        sub = linalg.Echelon(ground.field)
+        for row in ideal_span(ground, [g for _, g in gens], d):
+            sub.add(row)
+        for p in pivots:
+            if sub.add(red[p]) is not None:
+                gens.append((d, ground.element(red[p], d)))
     return gens
 
 

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from tatelab import audits, invariants, resolution
 from tatelab.audits import (AuditError, build_layer_chain, ci_vanishing_audit,
                             growth_probe, jacobi_zariski_audit,
                             rigidity_audit, verify_regular_witness)
+from tatelab.invariants import ci_check
 
 from conftest import load_doc, load_pres
 
@@ -38,6 +40,43 @@ def test_rigidity_ci_vanishes_from_three():
 def test_rigidity_golod_instance():
     rep = rigidity_audit(load_pres("xsq_xy_q"), 6, 12)
     assert rep.passed
+
+
+TOWER_BUILDERS = ("build_minimal_model", "build_acyclic_closure",
+                  "koszul_complex", "koszul_on_minimal_generators")
+
+
+@pytest.fixture
+def towers_built(monkeypatch):
+    """Names of the tower builders called, in order, under every import."""
+    built = []
+    for name in TOWER_BUILDERS:
+        orig = getattr(resolution, name)
+
+        def counting(*args, _orig=orig, _name=name):
+            built.append(_name)
+            return _orig(*args)
+
+        for mod in (resolution, invariants, audits):
+            if getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counting)
+    return built
+
+
+@pytest.mark.parametrize("name", ["ci_q", "m2zero_q", "hyp_f2"])
+def test_ci_check_and_rigidity_build_one_model(towers_built, name):
+    ci_check(load_pres(name), 12)
+    assert towers_built == ["build_minimal_model"]
+    rigidity_audit(load_pres(name), 6, 12)
+    assert towers_built == ["build_minimal_model"] * 2
+
+
+@pytest.mark.parametrize("N, message", [
+    (1, "the minimal-model route starts at eps_2"), (0, "N must be >= 1")])
+def test_rigidity_refuses_small_N(towers_built, N, message):
+    with pytest.raises(ValueError, match=message):
+        rigidity_audit(load_pres("m2zero_q"), N, 12)
+    assert towers_built == []
 
 
 def test_rigidity_report_json_is_stable():

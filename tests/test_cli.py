@@ -250,6 +250,72 @@ def test_malformed_variables_rejected(tmp_path, capsys, variables, message):
     assert message in err
 
 
+def _write_doc(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _assert_one_line_error(code, out, err, message):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+
+
+XY = [{"name": "x", "degree": 1}, {"name": "y", "degree": 1}]
+
+
+@pytest.mark.parametrize("relators, base_relators, message", [
+    ("x^2", None, "'relators' must be a list"),
+    ("x^2", [], "'relators' must be a list"),
+    (["x^2"], "x^2", "'base_relators' must be a list"),
+    ([5], [], "empty polynomial"),
+], ids=["plain", "over-base", "base-string", "non-string-over-base"])
+def test_malformed_relators_rejected(tmp_path, capsys, relators,
+                                     base_relators, message):
+    doc = {"field": {"type": "Q"}, "variables": XY, "relators": relators,
+           "base_relators": base_relators}
+    code, out, err = run(capsys, "ci-check", "--input", _write_doc(tmp_path, doc))
+    _assert_one_line_error(code, out, err, message)
+
+
+def test_tower_layer_relators_string_rejected(tmp_path, capsys):
+    with open(cat("tower_jz_q")) as fh:
+        doc = json.load(fh)
+    doc["tower"][1]["relators"] = "x^2"
+    code, out, err = run(capsys, "audit", "jacobi-zariski",
+                         "--input", _write_doc(tmp_path, doc))
+    _assert_one_line_error(code, out, err,
+                           "bad tower layer: 'relators' must be a list")
+
+
+def test_relator_vanishing_mod_p_rejected(tmp_path, capsys):
+    doc = {"field": {"type": "Fp", "p": 2}, "variables": XY,
+           "relators": ["2*x^2"]}
+    code, out, err = run(capsys, "ci-check", "--input", _write_doc(tmp_path, doc))
+    _assert_one_line_error(code, out, err, "zero relator")
+    doc["field"]["p"] = 3      # 2 is a unit mod 3: x^2 is a fine relator
+    code, out, err = run(capsys, "ci-check", "--input", _write_doc(tmp_path, doc))
+    assert code == 0 and err == ""
+    assert out.startswith("is_ci: yes")
+
+
+@pytest.mark.parametrize("kind, name, key, value", [
+    ("rigidity", "m2zero_q", "D", 0),
+    ("rigidity", "m2zero_q", "D", True),
+    ("rigidity", "m2zero_q", "N", "6"),
+    ("jacobi-zariski", "tower_jz_q", "i_max", "2"),
+], ids=["D-zero", "D-boolean", "N-string", "i_max-string"])
+def test_audit_document_bounds_rejected(tmp_path, capsys, kind, name, key, value):
+    with open(cat(name)) as fh:
+        doc = json.load(fh)
+    doc[key] = value
+    code, out, err = run(capsys, "audit", kind, "--input", _write_doc(tmp_path, doc))
+    _assert_one_line_error(code, out, err,
+                           "audit document bound %r must be an integer" % key)
+
+
 def test_bound_violations(capsys):
     code, _, err = run(capsys, "betti", "--input", cat("hyp_q"), "--N", "1")
     assert code == 1
@@ -329,3 +395,24 @@ def test_output_independent_of_hash_seed():
         assert proc.returncode == 0
         outs.append(proc.stdout)
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_traced_job_matches_untraced_cli(tmp_path):
+    # perfbench/traced_job.py re-binds resolution functions by name; a
+    # renamed or deleted one must fail here, not in a benchmark run
+    root = os.path.dirname(CATALOG)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")]))
+    argv = ["ci-check", "--input", cat("ci_q"), "--format", "json"]
+    trace = tmp_path / "trace.json"
+    plain = subprocess.run([sys.executable, "-m", "tatelab"] + argv,
+                           capture_output=True, env=env, cwd=root)
+    traced = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "traced_job.py"),
+         str(trace)] + argv, capture_output=True, env=env, cwd=root)
+    assert plain.returncode == traced.returncode == 0
+    assert plain.stderr == traced.stderr == b""
+    assert traced.stdout == plain.stdout
+    calls = json.loads(trace.read_text())["calls"]
+    assert calls["resolution.build"] == 1
+    assert calls["resolution.kernel_generators"] == 1
