@@ -17,7 +17,7 @@ from .fields import FieldError, PrimeField, QQ, Rationals, field_from_spec
 from .invariants import (AqRankTable, BettiTable, CiVerdict, DeviationTable,
                          InsufficientCertification, aq_ranks, betti_numbers,
                          characteristic_window, ci_check, d2_rank_via_koszul,
-                         deviations, poincare_from_deviations, with_free_base)
+                         deviations, poincare_from_deviations)
 from .presentations import (GradedPiece, Presentation, PresentationError,
                             parse_polynomial, parse_presentation)
 from .resolution import (ResolutionError, build_acyclic_closure,
@@ -39,5 +39,5 @@ __all__ = [
     "jacobi_zariski_audit", "kernel_generators", "koszul_complex",
     "koszul_on_minimal_generators", "minimal_generators",
     "parse_polynomial", "parse_presentation", "poincare_from_deviations",
-    "rigidity_audit", "verify_regular_witness", "with_free_base",
+    "rigidity_audit", "verify_regular_witness",
 ]

@@ -6,12 +6,10 @@ growth probe is non-certifying: it reports a diagnostic and never fails.
 """
 
 from . import linalg
-from .fields import field_from_spec
 from .invariants import (aq_ranks, characteristic_window, ci_check, ci_verdict,
                          deviations, hilbert_product, model_deviations,
-                         model_stage, with_free_base)
-from .presentations import (Presentation, PresentationError,
-                            parse_polynomial, parse_variables)
+                         model_stage)
+from .presentations import Presentation, PresentationError, parse_polynomial
 from .resolution import build_minimal_model, ideal_span, kernel_generators
 
 
@@ -51,13 +49,10 @@ def _check(assertion, observed, ok):
 
 def _instance_label(pres):
     rels = ", ".join(pres.poly_str(f) for f in pres.relators)
-    base = ""
-    if pres.base is not None and pres.base.relators:
-        base = " over quotient base (%s)" % ", ".join(
-            pres.poly_str(f) for f in pres.base.relators)
-    elif pres.base is not None:
-        base = " over polynomial base"
-    return "%s[%s]/(%s)%s" % (pres.field, ",".join(pres.names), rels, base)
+    base = pres.free_base().relators
+    over = (" over quotient base (%s)" % ", ".join(pres.poly_str(f) for f in base)
+            if base else " over polynomial base")
+    return "%s[%s]/(%s)%s" % (pres.field, ",".join(pres.names), rels, over)
 
 
 def rigidity_audit(pres, N, D):
@@ -65,9 +60,8 @@ def rigidity_audit(pres, N, D):
     (finite flat dimension is automatic over a polynomial base).  Audited
     as the contrapositive: a non-c.i. instance must have eps_n > 0 for
     every 4 <= n <= N, and a c.i. instance eps_n = 0 for 3 <= n <= N."""
-    based = with_free_base(pres)
-    model = build_minimal_model(based, max(model_stage(N), 2), D)
-    verdict = ci_verdict(based, model, D)
+    model = build_minimal_model(pres, max(model_stage(N), 2), D)
+    verdict = ci_verdict(pres, model, D)
     dev = model_deviations(model, N, D)
     checks = [_check("ci verdict is decisive", verdict.is_ci,
                      verdict.is_ci in ("yes", "no"))]
@@ -81,7 +75,7 @@ def rigidity_audit(pres, N, D):
             checks.append(_check(
                 "eps_%d = 0 (c.i. deviations vanish from 3 on)" % n,
                 dev[n], dev[n] == 0))
-    return AuditReport("rigidity-of-deviations", _instance_label(based),
+    return AuditReport("rigidity-of-deviations", _instance_label(pres),
                        {"N": N, "D": D}, checks)
 
 
@@ -89,19 +83,18 @@ def growth_probe(pres, N, D):
     """Non-certifying diagnostic: for non-c.i. instances the deviations are
     expected to grow exponentially; reports max eps_n^(1/n) over the
     window and flags when it exceeds 1.  Never fails."""
-    based = with_free_base(pres)
     notes = []
     checks = []
     if N < 4:
         notes.append("window too small (N < 4): nothing to probe")
-        return AuditReport("deviation-growth-probe", _instance_label(based),
+        return AuditReport("deviation-growth-probe", _instance_label(pres),
                            {"N": N, "D": D}, checks, notes)
-    verdict = ci_check(based, D)
+    verdict = ci_check(pres, D)
     if verdict.is_ci == "yes":
         notes.append("not applicable (complete intersection)")
-        return AuditReport("deviation-growth-probe", _instance_label(based),
+        return AuditReport("deviation-growth-probe", _instance_label(pres),
                            {"N": N, "D": D}, checks, notes)
-    dev = deviations(based, N, D, "acyclic-closure")
+    dev = deviations(pres, N, D, "acyclic-closure")
     eps = {n: dev[n] for n in range(1, N + 1)}
     # eps_n^(1/n) > 1 exactly when eps_n >= 2; the float is display only
     flagged = any(c >= 2 for c in eps.values())
@@ -113,7 +106,7 @@ def growth_probe(pres, N, D):
                      "this probe certifies nothing")
     else:
         notes.append("no growth detected in the window; this probe certifies nothing")
-    return AuditReport("deviation-growth-probe", _instance_label(based),
+    return AuditReport("deviation-growth-probe", _instance_label(pres),
                        {"N": N, "D": D}, checks, notes)
 
 
@@ -133,18 +126,11 @@ def build_layer_chain(docs):
     if not isinstance(docs, list) or len(docs) != 3:
         raise AuditError("'tower' must list exactly three presentation layers")
     pres = []
-    prev = None
     for doc in docs:
-        if not isinstance(doc, dict):
-            raise AuditError("each tower layer must be a presentation object")
-        field = field_from_spec(doc.get("field"))
         try:
-            vars_ = parse_variables(doc.get("variables", []))
-            p = Presentation(field, vars_, doc.get("relators", []), base=prev)
+            pres.append(Presentation.from_json(doc, base=pres[-1] if pres else None))
         except PresentationError as exc:
             raise AuditError("bad tower layer: %s" % exc)
-        pres.append(p)
-        prev = p
     return tuple(pres)
 
 
@@ -240,6 +226,8 @@ def ci_vanishing_audit(layers, N, D):
     audited as eps_{n+1}(R ->> S) = 0, i.e. the minimal model of S over R
     has no stage-n variables, for 3 <= n <= N."""
     q, r, s = _layer_chain(layers)
+    if N < 3:
+        raise AuditError("N must be >= 3 to audit vanishing")
     s_over_q = Presentation(s.field, s.variables, s.relators, base=q)
     ci_r = ci_check(r, D)
     ci_s = ci_check(s_over_q, D)
@@ -247,8 +235,6 @@ def ci_vanishing_audit(layers, N, D):
         raise AuditError(
             "precondition failed: both layers must be complete intersections "
             "over the polynomial base (got %s and %s)" % (ci_r.is_ci, ci_s.is_ci))
-    if N < 3:
-        raise AuditError("N must be >= 3 to audit vanishing")
     model = build_minimal_model(s, N, D)
     checks = []
     for n in range(3, N + 1):

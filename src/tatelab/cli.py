@@ -21,7 +21,7 @@ import sys
 from .audits import (AuditError, build_layer_chain, ci_vanishing_audit,
                      growth_probe, jacobi_zariski_audit, rigidity_audit)
 from .invariants import (aq_ranks, betti_numbers, ci_check, d2_rank_via_koszul,
-                         deviations, poincare_from_deviations, with_free_base)
+                         deviations, poincare_from_deviations)
 from .presentations import parse_presentation
 from .resolution import build_acyclic_closure, build_minimal_model
 
@@ -129,7 +129,7 @@ def _cmd_model_print(args):
     if route is None:
         route = "minimal-model" if pres.base is not None else "acyclic-closure"
     if route == "minimal-model":
-        tower = build_minimal_model(with_free_base(pres), args.N, args.D)
+        tower = build_minimal_model(pres, args.N, args.D)
     else:
         tower = build_acyclic_closure(pres, args.N, args.D)
     _emit_json(tower.dump())

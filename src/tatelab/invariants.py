@@ -58,8 +58,8 @@ def deviations(pres, N, D, route="acyclic-closure"):
 
     acyclic-closure: eps_n = number of stage-n closure variables, n >= 1.
     minimal-model:   eps_2 = number of stage-1 model variables and
-                     eps_n = number of stage-(n-1) variables for n >= 3;
-                     requires a base presentation.
+                     eps_n = number of stage-(n-1) variables for n >= 3,
+                     over pres.free_base().
     """
     if route not in ROUTES:
         raise ValueError("unknown route %r" % (route,))
@@ -93,27 +93,7 @@ def d2_rank_via_koszul(pres, D):
     the minimal model over the free base is that Koszul complex, so this
     is the number of stage-2 model variables: the rank of the degree-2
     cotangent homology, which is eps_3."""
-    return len(build_minimal_model(with_free_base(pres), 2, D).variables_of_hdeg(2))
-
-
-def _series_mul(a, b, T):
-    out = [0] * (T + 1)
-    for i, x in enumerate(a):
-        if x == 0 or i > T:
-            continue
-        for j, y in enumerate(b):
-            if i + j > T:
-                break
-            out[i + j] += x * y
-    return out
-
-
-def _one_minus_power_inverse(n, T):
-    # 1 / (1 - t^n) truncated
-    out = [0] * (T + 1)
-    for k in range(0, T + 1, n):
-        out[k] = 1
-    return out
+    return len(build_minimal_model(pres, 2, D).variables_of_hdeg(2))
 
 
 class CiVerdict:
@@ -133,15 +113,6 @@ class CiVerdict:
         return "CiVerdict(%s, %s)" % (self.is_ci, self.evidence)
 
 
-def with_free_base(pres):
-    """Re-root a baseless presentation over its free polynomial cover."""
-    from .presentations import Presentation
-    if pres.base is not None:
-        return pres
-    return Presentation(pres.field, pres.variables, pres.relators,
-                        base=pres.free_base())
-
-
 def hilbert_product(ground, degrees, D):
     """hilb(ground) * prod(1 - t^e) over the given degrees, through t^D:
     the Hilbert series of ground modulo a regular sequence of those degrees."""
@@ -153,8 +124,7 @@ def hilbert_product(ground, degrees, D):
 
 def ci_check(pres, D):
     """Is the kernel of base ->> pres generated by a regular sequence?"""
-    based = with_free_base(pres)
-    return ci_verdict(based, build_minimal_model(based, 2, D), D)
+    return ci_verdict(pres, build_minimal_model(pres, 2, D), D)
 
 
 def ci_verdict(pres, model, D):
@@ -217,12 +187,11 @@ def aq_ranks(pres, n_max, D):
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    based = with_free_base(pres)
     limit = characteristic_window(pres.field)
     need = [n for n in range(2, n_max + 1) if limit is None or n <= limit]
     entries = {}
     if need:
-        dev = deviations(based, max(need) + 1, D, "minimal-model")
+        dev = deviations(pres, max(need) + 1, D, "minimal-model")
     for n in range(2, n_max + 1):
         if limit is not None and n > limit:
             entries[n] = {"status": "outside-window"}
@@ -294,17 +263,9 @@ def poincare_from_deviations(table, T):
             "(table covers n <= %d)" % (T, missing[0], table.N))
     out = [1] + [0] * T
     for n in range(1, T + 1):
-        e = table[n]
-        if e == 0:
-            continue
-        if n % 2 == 1:
-            factor = [0] * (T + 1)
-            factor[0] = 1
-            factor[n] = 1
-            for _ in range(e):
-                out = _series_mul(out, factor, T)
-        else:
-            geo = _one_minus_power_inverse(n, T)
-            for _ in range(e):
-                out = _series_mul(out, geo, T)
+        # times (1 + t^n) from the top down; over (1 - t^n) from the bottom up
+        ks = range(T, n - 1, -1) if n % 2 else range(n, T + 1)
+        for _ in range(table[n]):
+            for k in ks:
+                out[k] += out[k - n]
     return out

@@ -4,7 +4,8 @@ A presentation is a coefficient field, an ordered list of weighted
 variables, and homogeneous relators of internal degree >= 2 (so the
 kernel sits inside the square of the maximal ideal).  An optional base
 presentation over the same variables, whose relators form a prefix of
-ours, encodes a surjection base ->> quotient.
+ours, encodes a surjection base ->> quotient; without one the base is
+the polynomial ring on the variables (free_base()).
 
 Everything is finite linear algebra per internal degree: the degree-d
 monomials of the quotient are the complement of the relator-multiple
@@ -198,7 +199,9 @@ class Presentation:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def from_json(cls, doc):
+    def from_json(cls, doc, base=None):
+        """JSON object -> Presentation.  base is the layer below, for a
+        tower layer; without it the base is read from base_relators."""
         if not isinstance(doc, dict):
             raise PresentationError("presentation must be a JSON object")
         for key in ("field", "variables", "relators"):
@@ -209,16 +212,8 @@ class Presentation:
                 raise PresentationError("%r must be a list" % key)
         field = field_from_spec(doc["field"])
         variables = parse_variables(doc["variables"])
-        base = None
-        if doc.get("base_relators") is not None:
+        if base is None and doc.get("base_relators") is not None:
             base = cls(field, variables, doc["base_relators"])
-            n = len(base.relators)
-            rel_polys = [r if isinstance(r, dict) else
-                         parse_polynomial(r, tuple(v[0] for v in variables))
-                         for r in doc["relators"]]
-            if tuple(base.relators) != tuple(rel_polys[:n]):
-                raise PresentationError("base_relators must be a prefix of relators")
-            return cls(field, variables, rel_polys, base=base)
         return cls(field, variables, doc["relators"], base=base)
 
     def to_json(self):

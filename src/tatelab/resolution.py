@@ -167,19 +167,15 @@ def minimal_generators(tower, q, D):
 
 
 def build_minimal_model(pres, N, D):
-    """Minimal model of the surjection base ->> pres through stage N, degree D.
+    """Minimal model of pres.free_base() ->> pres through stage N, degree D.
 
     Plain flavor: stage-1 exterior variables kill a minimal generating
     set of the kernel ideal; stage n kills minimal generators of H_{n-1}.
     The differential is decomposable by construction.
     """
-    if pres.base is None:
-        raise ResolutionError(
-            "minimal model needs a base presentation (a surjection); "
-            "supply base_relators")
     if N < 1:
         raise ResolutionError("stage bound must be >= 1")
-    tower = ExtensionTower(pres.base, "plain", nmax=N, dmax=D)
+    tower = ExtensionTower(pres.free_base(), "plain", nmax=N, dmax=D)
     for i, (d, g) in enumerate(kernel_generators(pres)):
         tower.adjoin("y1_%d" % (i + 1), 1, d, tower.ground_element(g))
     for n in range(2, N + 1):

@@ -12,8 +12,7 @@ import pytest
 from tatelab import (build_acyclic_closure, build_minimal_model,
                      d2_rank_via_koszul, deviations, betti_numbers, ci_check,
                      aq_ranks, poincare_from_deviations, parse_presentation,
-                     koszul_on_minimal_generators, homology_piece,
-                     with_free_base)
+                     koszul_on_minimal_generators, homology_piece)
 from tatelab.cli import main
 from tatelab.extensions import Element, ExtensionTower
 from tatelab.fields import PrimeField, QQ
@@ -80,7 +79,7 @@ def test_criterion_4_cotangent_dictionary():
         doc = load_doc(name)
         pres = parse_presentation(doc)
         mu = d2_rank_via_koszul(pres, 12)
-        eps3 = deviations(with_free_base(pres), 3, 12, "minimal-model")[3]
+        eps3 = deviations(pres, 3, 12, "minimal-model")[3]
         # both read stage 2 of one model; the oracle is the independent check
         assert mu == eps3 == koszul_h1_mu_oracle(doc, 12), name
         table = aq_ranks(pres, 6, 12)
@@ -98,17 +97,16 @@ def test_criterion_5_two_route_agreement_and_permutation():
     for name in SINGLE_INSTANCES:
         pres = load_pres(name)
         closure = deviations(pres, 6, 12, "acyclic-closure")
-        model = deviations(with_free_base(pres), 6, 12, "minimal-model")
+        model = deviations(pres, 6, 12, "minimal-model")
         for n in range(2, 7):
             assert closure[n] == model[n], (name, n)
     doc = load_doc("m2zero_q")
     perm = dict(doc,
                 variables=list(reversed(doc["variables"])),
                 relators=list(reversed(doc["relators"])))
-    for route, rooted in (("acyclic-closure", lambda p: p),
-                          ("minimal-model", with_free_base)):
-        before = deviations(rooted(parse_presentation(doc)), 5, 12, route)
-        after = deviations(rooted(parse_presentation(perm)), 5, 12, route)
+    for route in ("acyclic-closure", "minimal-model"):
+        before = deviations(parse_presentation(doc), 5, 12, route)
+        after = deviations(parse_presentation(perm), 5, 12, route)
         assert before.counts == after.counts, route
     done(5, "model eps_n == closure eps_n on the catalog; permutation-stable")
 
@@ -126,7 +124,7 @@ def test_criterion_6_structural_invariants():
         pres = load_pres(name)
         unit = (0,) * len(pres.names)
         closure = build_acyclic_closure(pres, 4, 10)
-        model = build_minimal_model(with_free_base(pres), 4, 10)
+        model = build_minimal_model(pres, 4, 10)
         _square_zero_everywhere(closure)
         _square_zero_everywhere(model)
         for v in model.variables:      # decomposable differentials

@@ -133,6 +133,24 @@ def test_layer_chain_validation():
             build_layer_chain(broken)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda layer: 5, "presentation must be a JSON object"),
+    (lambda layer: {k: v for k, v in layer.items() if k != "relators"},
+     "presentation is missing 'relators'"),
+    (lambda layer: {k: v for k, v in layer.items() if k != "field"},
+     "presentation is missing 'field'"),
+    (lambda layer: {k: v for k, v in layer.items() if k != "variables"},
+     "presentation is missing 'variables'"),
+    (lambda layer: dict(layer, relators=["y^2"]),
+     "base relators are not a prefix of relators"),
+], ids=["not-object", "no-relators", "no-field", "no-variables", "not-prefix"])
+def test_tower_layer_parsed_like_an_instance(edit, message):
+    tower = load_doc("tower_jz_q")["tower"]
+    tower[1] = edit(tower[1])
+    with pytest.raises(AuditError, match="^bad tower layer: %s$" % message):
+        build_layer_chain(tower)
+
+
 # -- witness verification -----------------------------------------------------
 
 def test_witness_accepts_regular_element():
@@ -211,6 +229,13 @@ def test_ci_vanishing_passes():
     assert rep.passed
     assert rep.theorem == "ci-vanishing-of-cotangent-homology"
     assert len(rep.checks) == 3          # stages 3, 4, 5
+
+
+def test_ci_vanishing_checks_N_before_building(towers_built):
+    layers = build_layer_chain(load_doc("tower_ci_q")["tower"])
+    with pytest.raises(AuditError, match="^N must be >= 3 to audit vanishing$"):
+        ci_vanishing_audit(layers, 2, 12)
+    assert towers_built == []
 
 
 def test_ci_vanishing_identity_layer_vacuous():

@@ -271,7 +271,9 @@ XY = [{"name": "x", "degree": 1}, {"name": "y", "degree": 1}]
     ("x^2", [], "'relators' must be a list"),
     (["x^2"], "x^2", "'base_relators' must be a list"),
     ([5], [], "empty polynomial"),
-], ids=["plain", "over-base", "base-string", "non-string-over-base"])
+    (None, [], "'relators' must be a list"),
+], ids=["plain", "over-base", "base-string", "non-string-over-base",
+        "null-over-base"])
 def test_malformed_relators_rejected(tmp_path, capsys, relators,
                                      base_relators, message):
     doc = {"field": {"type": "Q"}, "variables": XY, "relators": relators,
@@ -288,6 +290,19 @@ def test_tower_layer_relators_string_rejected(tmp_path, capsys):
                          "--input", _write_doc(tmp_path, doc))
     _assert_one_line_error(code, out, err,
                            "bad tower layer: 'relators' must be a list")
+
+
+@pytest.mark.parametrize("argv", [
+    ("deviations", "--route", "minimal-model"), ("aq-ranks",), ("ci-check",),
+    ("koszul-h1",), ("audit", "rigidity"), ("audit", "growth"),
+], ids=lambda a: "-".join(a))
+def test_baseless_instance_read_over_polynomial_ring(tmp_path, capsys, argv):
+    with open(cat("m2zero_q")) as fh:
+        doc = json.load(fh)
+    assert doc.pop("base_relators") == []
+    code, out, err = run(capsys, *argv, "--input", cat("m2zero_q"))
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv, "--input", _write_doc(tmp_path, doc)) == (0, out, "")
 
 
 def test_relator_vanishing_mod_p_rejected(tmp_path, capsys):
@@ -416,3 +431,21 @@ def test_traced_job_matches_untraced_cli(tmp_path):
     calls = json.loads(trace.read_text())["calls"]
     assert calls["resolution.build"] == 1
     assert calls["resolution.kernel_generators"] == 1
+
+
+def test_setup_probe_parses_the_catalog():
+    # perfbench/setup_probe.py times parse_presentation and
+    # build_layer_chain on every instance and must import this checkout
+    root = os.path.dirname(CATALOG)
+    src = os.path.join(root, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    paths = sorted(os.path.join(CATALOG, f) for f in os.listdir(CATALOG)
+                   if f.endswith(".json"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "setup_probe.py")]
+        + paths, capture_output=True, text=True, env=env, cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert os.path.realpath(os.path.dirname(proc.stdout.strip())) == \
+        os.path.realpath(os.path.join(src, "tatelab"))

@@ -1,14 +1,17 @@
 """Deviation tables, Betti counts, Poincare series, c.i. verdicts, AQ ranks."""
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from tatelab.fields import PrimeField, QQ
-from tatelab.invariants import (InsufficientCertification, aq_ranks,
-                                betti_numbers, characteristic_window,
+from tatelab.invariants import (DeviationTable, InsufficientCertification,
+                                aq_ranks, betti_numbers, characteristic_window,
                                 ci_check, d2_rank_via_koszul, deviations,
-                                poincare_from_deviations, with_free_base)
+                                poincare_from_deviations)
 
 from conftest import load_pres
+from oracles import deviations_from_betti
 
 
 # -- deviation tables ---------------------------------------------------------
@@ -89,6 +92,17 @@ def test_poincare_refuses_uncertified_tail():
         poincare_from_deviations(t, 8)
 
 
+@seed(20261018)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.integers(0, 3), max_size=9))
+def test_poincare_series_inverts_to_deviations(eps):
+    # the oracle strips the product factor by factor, with Fractions
+    T = len(eps)
+    table = DeviationTable("acyclic-closure", T, 12,
+                           {n: e for n, e in enumerate(eps, 1)})
+    assert deviations_from_betti(poincare_from_deviations(table, T), T) == eps
+
+
 def test_poincare_matches_betti_on_catalog(catalog_presentations):
     for name, pres in sorted(catalog_presentations.items()):
         t = deviations(pres, 5, 12, "acyclic-closure")
@@ -130,14 +144,6 @@ def test_d2_rank_frozen_values():
     assert d2_rank_via_koszul(load_pres("ci_q"), 12) == 0
     assert d2_rank_via_koszul(load_pres("m2zero_q"), 12) == 2
     assert d2_rank_via_koszul(load_pres("xsq_xy_q"), 12) == 1
-
-
-def test_with_free_base():
-    p = load_pres("m2zero_q")
-    q = with_free_base(p)
-    assert q.base is not None
-    assert q.base.relators == ()
-    assert q.relators == p.relators
 
 
 # -- AQ rank dictionary -------------------------------------------------------

@@ -114,10 +114,13 @@ def test_minimal_generators_single_for_x2_xy():
 
 # -- minimal models -----------------------------------------------------------
 
-def test_model_requires_base():
-    p = P(["x^2"])
-    with pytest.raises(ResolutionError):
-        build_minimal_model(p, 4, 12)
+def test_model_baseless_equals_empty_base():
+    # a baseless presentation is read over its free polynomial base
+    for rels in (["x^2"], ["x^2", "x*y", "y^2"]):
+        assert build_minimal_model(P(rels), 4, 12).dump() == \
+            build_minimal_model(P(rels, base_relators=[]), 4, 12).dump()
+    with pytest.raises(ResolutionError, match="stage bound"):
+        build_minimal_model(P(["x^2"]), 0, 12)
 
 
 def test_model_hypersurface_stops_at_stage_one():
