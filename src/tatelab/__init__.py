@@ -21,9 +21,9 @@ from .invariants import (AqRankTable, BettiTable, CiVerdict, DeviationTable,
 from .presentations import (GradedPiece, Presentation, PresentationError,
                             parse_polynomial, parse_presentation)
 from .resolution import (ResolutionError, build_acyclic_closure,
-                         build_minimal_model, homology_piece,
-                         kernel_generators, koszul_complex,
-                         koszul_on_minimal_generators, minimal_generators)
+                         build_minimal_model, kernel_generators,
+                         koszul_complex, koszul_on_minimal_generators,
+                         minimal_generators)
 
 __version__ = "0.1.0"
 
@@ -35,9 +35,9 @@ __all__ = [
     "TowerError", "aq_ranks", "betti_numbers", "build_acyclic_closure",
     "build_layer_chain", "build_minimal_model", "characteristic_window",
     "ci_check", "ci_vanishing_audit", "d2_rank_via_koszul", "deviations",
-    "field_from_spec", "growth_probe", "homology_piece",
-    "jacobi_zariski_audit", "kernel_generators", "koszul_complex",
-    "koszul_on_minimal_generators", "minimal_generators",
+    "field_from_spec", "growth_probe", "jacobi_zariski_audit",
+    "kernel_generators", "koszul_complex", "koszul_on_minimal_generators",
+    "minimal_generators",
     "parse_polynomial", "parse_presentation", "poincare_from_deviations",
     "rigidity_audit", "verify_regular_witness",
 ]

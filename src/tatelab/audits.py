@@ -10,7 +10,7 @@ from .invariants import (aq_ranks, characteristic_window, ci_check, ci_verdict,
                          deviations, hilbert_product, model_deviations,
                          model_stage)
 from .presentations import Presentation, PresentationError, parse_polynomial
-from .resolution import build_minimal_model, ideal_span, kernel_generators
+from .resolution import build_minimal_model, ideal_span
 
 
 class AuditError(ValueError):
@@ -167,7 +167,9 @@ def verify_regular_witness(r_pres, s_pres, witness_polys, D):
             raise AuditError("witness verification failed: %r is not homogeneous"
                              % (text,))
         wits.append(g)
-    kernel = [g for _, g in kernel_generators(s_pres)]
+    # the relators beyond R, reduced in R, span the kernel in every degree
+    kernel = [g for g in map(r_pres.from_int_poly,
+                             s_pres.relators[len(r_pres.relators):]) if g]
     for d, (ra, rb, rab) in enumerate(_ideal_span_ranks(r_pres, wits, kernel, D)):
         if not (ra == rb == rab):
             raise AuditError(

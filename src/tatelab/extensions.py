@@ -340,7 +340,8 @@ class ExtensionTower:
                 for mono in self.ground.quotient_basis(dd).monomials:
                     words.append((mono, tuple(acc)))
                 return
-            if i == nvars:
+            # variables come in weakly increasing hdeg: none from i on fits
+            if i == nvars or self.variables[i].hdeg > h:
                 return
             v = self.variables[i]
             cap = h // v.hdeg

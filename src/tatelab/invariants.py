@@ -217,35 +217,13 @@ class BettiTable:
         return "BettiTable(%s)" % (self.counts,)
 
 
-def _count_words(variables, n):
-    """Number of admissible exponent patterns of homological degree n."""
-    caps = [(v.hdeg, (1 if v.flavor == "exterior" else None)) for v in variables]
-
-    def rec(i, h):
-        if h == 0:
-            return 1
-        if i == len(caps):
-            return 0
-        hdeg, cap = caps[i]
-        top = h // hdeg
-        if cap is not None:
-            top = min(top, cap)
-        total = 0
-        for e in range(0, top + 1):
-            total += rec(i + 1, h - e * hdeg)
-        return total
-
-    return rec(0, n)
-
-
 def betti_numbers(pres, N, D):
     """Betti numbers of the residue field from the acyclic closure: b_n is
     the number of divided-power words of homological degree n in the
-    closure variables (with base monomial 1).  Certified through D: a
-    closure variable of internal degree > D would be invisible."""
-    tower = build_acyclic_closure(pres, N, D)
-    counts = [_count_words(tower.variables, n) for n in range(N + 1)]
-    return BettiTable(counts, N, D)
+    closure variables (with base monomial 1), which is the coefficient of
+    t^n in the deviation product.  Certified through D: a closure variable
+    of internal degree > D would be invisible."""
+    return BettiTable(poincare_from_deviations(deviations(pres, N, D), N), N, D)
 
 
 def poincare_from_deviations(table, T):

@@ -201,7 +201,8 @@ class Presentation:
     @classmethod
     def from_json(cls, doc, base=None):
         """JSON object -> Presentation.  base is the layer below, for a
-        tower layer; without it the base is read from base_relators."""
+        tower layer, and a declared base_relators must agree with it;
+        without it the base is read from base_relators."""
         if not isinstance(doc, dict):
             raise PresentationError("presentation must be a JSON object")
         for key in ("field", "variables", "relators"):
@@ -212,8 +213,12 @@ class Presentation:
                 raise PresentationError("%r must be a list" % key)
         field = field_from_spec(doc["field"])
         variables = parse_variables(doc["variables"])
-        if base is None and doc.get("base_relators") is not None:
-            base = cls(field, variables, doc["base_relators"])
+        if doc.get("base_relators") is not None:
+            declared = cls(field, variables, doc["base_relators"])
+            if base is None:
+                base = declared
+            elif declared.relators != base.relators:
+                raise PresentationError("base_relators contradict the layer below")
         return cls(field, variables, doc["relators"], base=base)
 
     def to_json(self):

@@ -15,28 +15,11 @@ bound D: homology generators of internal degree > D are invisible.
 """
 
 from . import linalg
-from .extensions import Element, ExtensionTower, TowerError
-from .presentations import Presentation
+from .extensions import Element, ExtensionTower
 
 
 class ResolutionError(ValueError):
     pass
-
-
-class HomologyPiece:
-    """Homology of one bidegree: dimension plus chosen representatives."""
-
-    __slots__ = ("n", "d", "dimension", "cycles", "boundaries")
-
-    def __init__(self, n, d, dimension, cycles, boundaries):
-        self.n = n
-        self.d = d
-        self.dimension = dimension
-        self.cycles = cycles          # representatives of a basis of H
-        self.boundaries = boundaries  # basis of the boundary subspace
-
-    def __repr__(self):
-        return "HomologyPiece(n=%d, d=%d, dim=%d)" % (self.n, self.d, self.dimension)
 
 
 def ideal_span(ground, gens, d):
@@ -107,33 +90,6 @@ def koszul_on_minimal_generators(pres, D=None):
     return tower
 
 
-def cycle_space(tower, n, d):
-    """Canonical kernel basis of the differential at (n, d), as coord dicts."""
-    return tower.solved(n, d).kernel
-
-
-def boundary_space(tower, n, d):
-    """Image basis of the differential from (n+1, d), in (n, d) coordinates."""
-    return tower.solved(n + 1, d).image
-
-
-def homology_piece(tower, n, d):
-    """H_n in internal degree d with deterministic cycle representatives."""
-    field = tower.field
-    cycles = cycle_space(tower, n, d)
-    bounds = boundary_space(tower, n, d)
-    ech = linalg.Echelon(field)
-    for b in bounds:
-        ech.add(b)
-    reps = []
-    for z in cycles:
-        if ech.add(z) is not None:
-            reps.append(tower.element(z, n, d))
-    return HomologyPiece(n, d, len(reps),
-                         tuple(reps),
-                         tuple(tower.element(b, n, d) for b in bounds))
-
-
 def minimal_generators(tower, q, D):
     """Cycle lifts of a minimal generating set of H_q over the ground ring.
 
@@ -146,10 +102,10 @@ def minimal_generators(tower, q, D):
     gens = []
     zelems = {}
     for d in range(0, D + 1):
-        zcoords = cycle_space(tower, q, d)
+        zcoords = tower.solved(q, d).kernel
         zelems[d] = [tower.element(z, q, d) for z in zcoords]
         sub = linalg.Echelon(field)
-        for b in boundary_space(tower, q, d):
+        for b in tower.solved(q + 1, d).image:
             sub.add(b)
         for i, (nm, w) in enumerate(ground.variables):
             if d - w < 0:

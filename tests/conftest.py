@@ -24,6 +24,11 @@ def load_pres(name):
     return parse_presentation(load_doc(name))
 
 
+def homology_dim(t, n, d):
+    """dim H_n of tower t in internal degree d: cycles minus boundaries."""
+    return len(t.solved(n, d).kernel) - t.solved(n + 1, d).rank
+
+
 @pytest.fixture(scope="session")
 def catalog_docs():
     return {name: load_doc(name) for name in SINGLE_INSTANCES}

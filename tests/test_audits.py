@@ -8,6 +8,7 @@ from tatelab import audits, invariants, resolution
 from tatelab.audits import (AuditError, build_layer_chain, ci_vanishing_audit,
                             growth_probe, jacobi_zariski_audit,
                             rigidity_audit, verify_regular_witness)
+from tatelab.cli import main
 from tatelab.invariants import ci_check
 
 from conftest import load_doc, load_pres
@@ -149,6 +150,21 @@ def test_tower_layer_parsed_like_an_instance(edit, message):
     tower[1] = edit(tower[1])
     with pytest.raises(AuditError, match="^bad tower layer: %s$" % message):
         build_layer_chain(tower)
+
+
+def test_tower_layer_base_relators_checked(tmp_path, capsys):
+    doc = load_doc("tower_ci_q")
+    path = tmp_path / "tower.json"
+    for declared, code in ((["y^2"], 1), (["x^2"], 0)):
+        doc["tower"][2]["base_relators"] = declared
+        path.write_text(json.dumps(doc))
+        assert main(["audit", "ci-vanishing", "--input", str(path)]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert (out, err) == ("", "error: bad tower layer: base_relators "
+                                      "contradict the layer below\n")
+        else:
+            assert err == "" and out.splitlines()[-1] == "PASS"
 
 
 # -- witness verification -----------------------------------------------------

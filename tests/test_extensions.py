@@ -8,6 +8,9 @@ import pytest
 from tatelab.extensions import Element, ExtensionTower, TowerError
 from tatelab.fields import PrimeField, QQ
 from tatelab.presentations import Presentation, parse_polynomial
+from tatelab.resolution import build_acyclic_closure, build_minimal_model
+
+from conftest import load_pres
 
 
 def ground_xy(field=QQ):
@@ -216,6 +219,41 @@ def test_piece_enumeration_koszul():
     assert monos == ["x*y2", "y*y2", "x*y1", "y*y1"]
     assert t.piece(0, 0) == (t.unit_word(),)
     assert t.piece(3, 6) == ()   # only two exterior variables exist
+
+
+def brute_force_piece(t, n, d):
+    """Every exponent pattern of homological degree n (exterior caps 1),
+    paired with the ground basis in the leftover internal degree: exponents
+    ascend per variable, the first variable varying slowest."""
+    def patterns(i, h):
+        if i == len(t.variables):
+            if h == 0:
+                yield ()
+            return
+        v = t.variables[i]
+        top = h // v.hdeg
+        if v.flavor == "exterior":
+            top = min(top, 1)
+        for e in range(top + 1):
+            for rest in patterns(i + 1, h - e * v.hdeg):
+                yield (((i, e),) if e else ()) + rest
+
+    words = []
+    for ext in patterns(0, n):
+        left = d - sum(e * t.variables[i].ideg for i, e in ext)
+        if left >= 0:
+            words.extend((m, ext) for m in t.ground.quotient_basis(left).monomials)
+    return tuple(words)
+
+
+@pytest.mark.parametrize("name", ["m2zero_f2", "xsq_xy_q", "hyp_weighted_q"])
+def test_piece_matches_brute_force(name):
+    N, D = 5, 10
+    pres = load_pres(name)
+    for t in (build_acyclic_closure(pres, N, D), build_minimal_model(pres, N, D)):
+        for n in range(N + 1):
+            for d in range(D + 1):
+                assert t.piece(n, d) == brute_force_piece(t, n, d), (t.flavor, n, d)
 
 
 def test_piece_respects_ground_quotient():

@@ -9,9 +9,10 @@ from tatelab.invariants import (DeviationTable, InsufficientCertification,
                                 aq_ranks, betti_numbers, characteristic_window,
                                 ci_check, d2_rank_via_koszul, deviations,
                                 poincare_from_deviations)
+from tatelab.presentations import parse_presentation
 
-from conftest import load_pres
-from oracles import deviations_from_betti
+from conftest import SINGLE_INSTANCES, load_doc, load_pres
+from oracles import betti_oracle, deviations_from_betti
 
 
 # -- deviation tables ---------------------------------------------------------
@@ -72,6 +73,13 @@ def test_betti_m2zero_doubling():
 def test_betti_ci_linear():
     assert betti_numbers(load_pres("ci_q"), 6, 12).counts == \
         [1, 2, 3, 4, 5, 6, 7]
+
+
+@pytest.mark.parametrize("name", SINGLE_INSTANCES)
+def test_betti_matches_syzygy_oracle(name):
+    doc = load_doc(name)
+    assert betti_numbers(parse_presentation(doc), 6, 12).counts == \
+        betti_oracle(doc, 6, 12)
 
 
 # -- Poincare series ----------------------------------------------------------

@@ -1,14 +1,16 @@
-"""Koszul complexes, homology pieces, and staged tower construction."""
+"""Koszul complexes, homology dimensions, and staged tower construction."""
 
 import pytest
 
+import tatelab
 from tatelab.fields import PrimeField, QQ
 from tatelab.presentations import Presentation, parse_presentation
 from tatelab.resolution import (ResolutionError, build_acyclic_closure,
-                                build_minimal_model, homology_piece,
-                                kernel_generators, koszul_complex,
-                                koszul_on_minimal_generators,
+                                build_minimal_model, kernel_generators,
+                                koszul_complex, koszul_on_minimal_generators,
                                 minimal_generators)
+
+from conftest import homology_dim
 
 
 def P(relators, variables=(("x", 1), ("y", 1)), field=QQ, base_relators=None):
@@ -70,31 +72,35 @@ def test_koszul_on_minimal_generators_trims():
     assert len(t.variables) == 1
 
 
-# -- homology pieces ----------------------------------------------------------
+# -- homology dimensions ------------------------------------------------------
 
 def test_homology_piece_x2_xy():
     p = P(["x^2", "x*y"], base_relators=[])
     t = koszul_complex(p)
-    hp = homology_piece(t, 1, 3)
-    assert hp.dimension == 1
-    assert [str(c) for c in hp.cycles] == ["y*y1 - x*y2"]
+    assert homology_dim(t, 1, 3) == 1
+    assert [str(z) for _, z in minimal_generators(t, 1, 3)] == ["y*y1 - x*y2"]
+
+
+def test_package_exports_resolve():
+    missing = [name for name in tatelab.__all__ if not hasattr(tatelab, name)]
+    assert missing == []
 
 
 def test_homology_vanishes_for_regular_sequence():
     p = P(["x^2", "y^3"], base_relators=[])
     t = koszul_complex(p)
     for d in range(0, 13):
-        assert homology_piece(t, 1, d).dimension == 0, d
+        assert homology_dim(t, 1, d) == 0, d
     for d in range(0, 13):
-        assert homology_piece(t, 2, d).dimension == 0, d
+        assert homology_dim(t, 2, d) == 0, d
 
 
 def test_homology_h0_is_quotient():
     p = P(["x^2", "x*y", "y^2"], base_relators=[])
     t = koszul_complex(p)
-    assert homology_piece(t, 0, 0).dimension == 1
-    assert homology_piece(t, 0, 1).dimension == 2
-    assert homology_piece(t, 0, 2).dimension == 0
+    assert homology_dim(t, 0, 0) == 1
+    assert homology_dim(t, 0, 1) == 2
+    assert homology_dim(t, 0, 2) == 0
 
 
 def test_minimal_generators_of_koszul_h1():
@@ -145,7 +151,7 @@ def test_model_homology_killed_below_top():
     # after building stages through 3, homology vanishes in degrees 1, 2
     for n in (1, 2):
         for d in range(0, 11):
-            assert homology_piece(t, n, d).dimension == 0, (n, d)
+            assert homology_dim(t, n, d) == 0, (n, d)
 
 
 def test_model_differentials_decomposable():
@@ -189,7 +195,7 @@ def test_closure_homology_killed_below_top():
     t = build_acyclic_closure(p, 4, 10)
     for n in (1, 2, 3):
         for d in range(0, 11):
-            assert homology_piece(t, n, d).dimension == 0, (n, d)
+            assert homology_dim(t, n, d) == 0, (n, d)
 
 
 def test_closure_minimality():
