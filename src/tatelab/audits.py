@@ -10,7 +10,7 @@ from .invariants import (aq_ranks, characteristic_window, ci_check, ci_verdict,
                          deviations, hilbert_product, model_deviations,
                          model_stage)
 from .presentations import Presentation, PresentationError, parse_polynomial
-from .resolution import build_minimal_model, ideal_span
+from .resolution import build_minimal_model
 
 
 class AuditError(ValueError):
@@ -138,7 +138,7 @@ def _ideal_span_ranks(ground, gens_a, gens_b, D):
     """Per-degree ranks of span(a), span(b), span(a+b) inside the ground ring."""
     out = []
     for d in range(D + 1):
-        ra, rb = ideal_span(ground, gens_a, d), ideal_span(ground, gens_b, d)
+        ra, rb = ground.ideal_span(gens_a, d), ground.ideal_span(gens_b, d)
         out.append(tuple(len(linalg.rref(rows, ground.field)[0])
                          for rows in (ra, rb, ra + rb)))
     return out
@@ -151,14 +151,17 @@ def verify_regular_witness(r_pres, s_pres, witness_polys, D):
         through every internal degree <= D, and
     (b) hilb(S) == hilb(R) * prod(1 - t^{deg w_i}) through D, which is
         the Hilbert-series certificate of regularity.
+    witness_polys is a list of polynomial strings in the variables of R.
     Raises AuditError when verification fails.
     """
+    if (not isinstance(witness_polys, list)
+            or not all(isinstance(text, str) for text in witness_polys)):
+        raise AuditError("'witness' must be a list of polynomial strings")
     if not witness_polys:
         raise AuditError("witness verification failed: empty witness")
     wits = []
     for text in witness_polys:
-        poly = parse_polynomial(text, r_pres.names) if isinstance(text, str) else text
-        g = r_pres.from_int_poly(poly)
+        g = r_pres.from_int_poly(parse_polynomial(text, r_pres.names))
         if not g:
             raise AuditError("witness verification failed: %r is zero in the base"
                              % (text,))

@@ -41,7 +41,7 @@ DIVIDED = "divided-power"
 
 
 class ExtensionVariable:
-    __slots__ = ("name", "hdeg", "ideg", "flavor", "dval", "index")
+    __slots__ = ("name", "hdeg", "ideg", "flavor", "dval", "index", "odd")
 
     def __init__(self, name, hdeg, ideg, flavor, dval, index):
         self.name = name
@@ -50,10 +50,7 @@ class ExtensionVariable:
         self.flavor = flavor
         self.dval = dval
         self.index = index
-
-    @property
-    def odd(self):
-        return self.hdeg % 2 == 1
+        self.odd = hdeg % 2 == 1
 
     def __repr__(self):
         return "%s(%d,%d)" % (self.name, self.hdeg, self.ideg)
@@ -73,11 +70,8 @@ class Element:
         return cls(tower, {})
 
     @classmethod
-    def from_word(cls, tower, word, coeff=None):
-        c = tower.field.one if coeff is None else coeff
-        if tower.field.is_zero(c):
-            return cls(tower, {})
-        return cls(tower, {word: c})
+    def from_word(cls, tower, word):
+        return cls(tower, {word: tower.field.one})
 
     def is_zero(self):
         return not self.terms
@@ -215,9 +209,6 @@ class ExtensionTower:
         unit = (0,) * len(self.ground.names)
         return Element.from_word(self, (unit, ((var.index, 1),)))
 
-    def unit_word(self):
-        return ((0,) * len(self.ground.names), ())
-
     def ground_element(self, elem):
         """Reduced ground element {mono: scalar} -> degree-zero tower element."""
         return Element(self, {(m, ()): c for m, c in elem.items()})
@@ -239,10 +230,10 @@ class ExtensionTower:
         m1, e1 = w1
         m2, e2 = w2
         f = self.field
-        # merge extension parts with Koszul signs and power coefficients
-        suffix_odd = [0] * (len(e1) + 1)
-        for i in range(len(e1) - 1, -1, -1):
-            suffix_odd[i] = suffix_odd[i + 1] + (1 if self.variables[e1[i][0]].odd else 0)
+        vs = self.variables
+        # merge extension parts with Koszul signs and power coefficients:
+        # an odd factor of w2 moves past the odd factors of w1 still unmerged
+        odd1 = sum(vs[idx].odd for idx, _ in e1)
         out = []
         coeff = 1
         crossings = 0
@@ -251,15 +242,16 @@ class ExtensionTower:
             idx1 = e1[i][0]
             idx2, ex2 = e2[j]
             if idx1 < idx2:
+                odd1 -= vs[idx1].odd
                 out.append(e1[i])
                 i += 1
             elif idx1 > idx2:
-                if self.variables[idx2].odd:
-                    crossings += suffix_odd[i]
+                if vs[idx2].odd:
+                    crossings += odd1
                 out.append(e2[j])
                 j += 1
             else:
-                v = self.variables[idx1]
+                v = vs[idx1]
                 if v.odd:
                     return []  # odd square is zero in every characteristic
                 a = e1[i][1]
@@ -269,12 +261,7 @@ class ExtensionTower:
                 i += 1
                 j += 1
         out.extend(e1[i:])
-        while j < len(e2):
-            idx2, ex2 = e2[j]
-            if self.variables[idx2].odd:
-                crossings += suffix_odd[len(e1)]
-            out.append(e2[j])
-            j += 1
+        out.extend(e2[j:])
         if crossings % 2:
             coeff = -coeff
         c = f.from_int(coeff)
@@ -287,32 +274,36 @@ class ExtensionTower:
         return [((sm, ext), f.mul(c, r)) for sm, r in combo.items()]
 
     def word_differential(self, word):
-        """d(word) via the left Leibniz rule; cached per word."""
+        """d(word) via the left Leibniz rule; cached per word.
+
+        At position t the left factor ext[:t] and d(v) use only variables
+        before v, the rest v^(e-1) * ext[t+1:] only v and later ones: the
+        rest is a plain suffix of each word of left * d(v), unsigned.
+        """
         cached = self._dwords.get(word)
         if cached is not None:
             return cached
         mono, ext = word
         f = self.field
-        result = Element.zero(self)
+        out = {}
         parity = 0  # homological degree of the factors left of position t
         for t, (idx, e) in enumerate(ext):
             v = self.variables[idx]
-            left = Element.from_word(self, (mono, ext[:t]))
-            if v.flavor == EXTERIOR:
-                middle = v.dval
-                rest = ext[t + 1:]
-            elif v.flavor == POLYNOMIAL:
-                middle = v.dval.scale(f.from_int(e))
-                rest = (((idx, e - 1),) if e > 1 else ()) + ext[t + 1:]
-            else:  # divided power
-                middle = v.dval
-                rest = (((idx, e - 1),) if e > 1 else ()) + ext[t + 1:]
-            if not middle.is_zero():
-                term = left * middle * Element.from_word(self, (self.unit_word()[0], rest))
-                if parity % 2:
-                    term = -term
-                result = result + term
+            k = f.from_int(e if v.flavor == POLYNOMIAL else 1)
+            if parity % 2:
+                k = f.neg(k)
+            rest = (((idx, e - 1),) if e > 1 else ()) + ext[t + 1:]
+            for w, c in v.dval.terms.items():
+                c = f.mul(k, c)
+                for (m, x), y in self._mul_words((mono, ext[:t]), w):
+                    ww = (m, x + rest)
+                    s = f.add(out.get(ww, f.zero), f.mul(c, y))
+                    if f.is_zero(s):
+                        out.pop(ww, None)
+                    else:
+                        out[ww] = s
             parity += e * v.hdeg
+        result = Element(self, out)
         self._dwords[word] = result
         return result
 
@@ -382,9 +373,6 @@ class ExtensionTower:
 
     def matrix(self, n, d):
         """Differential piece (n, d) -> (n-1, d) as (sparse columns, nrows)."""
-        key = ("matrix", n, d)
-        if key in self._cache:
-            return self._cache[key]
         src = self.piece(n, d)
         tgt_index = self.piece_index(n - 1, d)
         cols = []
@@ -394,9 +382,7 @@ class ExtensionTower:
             for ww, c in dv.terms.items():
                 col[tgt_index[ww]] = c
             cols.append(col)
-        result = (cols, len(self.piece(n - 1, d)))
-        self._cache[key] = result
-        return result
+        return cols, len(self.piece(n - 1, d))
 
     def solved(self, n, d):
         """Cached kernel/image/rank data for the differential out of (n, d)."""

@@ -211,6 +211,9 @@ class Presentation:
         for key in ("relators", "base_relators"):
             if doc.get(key) is not None and not isinstance(doc[key], list):
                 raise PresentationError("%r must be a list" % key)
+            # a JSON object would reach the internal {mono: coeff} path
+            if any(isinstance(f, dict) for f in doc.get(key) or ()):
+                raise PresentationError("%r must list polynomial strings" % key)
         field = field_from_spec(doc["field"])
         variables = parse_variables(doc["variables"])
         if doc.get("base_relators") is not None:
@@ -231,14 +234,18 @@ class Presentation:
             doc["base_relators"] = [self.poly_str(f) for f in self.base.relators]
         return doc
 
-    def free_base(self):
-        """The declared base, or the free polynomial ring on the same variables."""
-        if self.base is not None:
-            return self.base
+    def polynomial_ring(self):
+        """The polynomial ring on the same variables: self if relator-free."""
+        if not self.relators:
+            return self
         key = ("free",)
         if key not in self._cache:
             self._cache[key] = Presentation(self.field, self.variables, ())
         return self._cache[key]
+
+    def free_base(self):
+        """The declared base, or the polynomial ring on the same variables."""
+        return self.base if self.base is not None else self.polynomial_ring()
 
     # -- monomial bookkeeping ------------------------------------------
 
@@ -292,7 +299,7 @@ class Presentation:
     # -- per-degree quotient structure ---------------------------------
 
     def _degree_data(self, d):
-        """(index map, replacement dict, standard index tuple) in degree d.
+        """(replacement dict, standard index tuple) in degree d.
 
         replacement maps a pivot monomial of the relator-multiple span to
         the equivalent combination of standard monomials.
@@ -303,24 +310,8 @@ class Presentation:
         from . import linalg
 
         monos = self.monomials(d)
-        index = {m: i for i, m in enumerate(monos)}
-        rows = []
-        for f in self.relators:
-            e = self.degree_of(next(iter(f)))
-            if e > d:
-                continue
-            for m in self.monomials(d - e):
-                row = {}
-                for fm, c in f.items():
-                    prod = tuple(a + b for a, b in zip(m, fm))
-                    x = self.field.add(row.get(index[prod], self.field.zero),
-                                       self.field.from_int(c))
-                    if self.field.is_zero(x):
-                        row.pop(index[prod], None)
-                    else:
-                        row[index[prod]] = x
-                if row:
-                    rows.append(row)
+        ring = self.polynomial_ring()
+        rows = ring.ideal_span([ring.from_int_poly(f) for f in self.relators], d)
         pivots, red = linalg.rref(rows, self.field)
         pivset = set(pivots)
         std = tuple(i for i in range(len(monos)) if i not in pivset)
@@ -329,7 +320,7 @@ class Presentation:
             row = red[p]
             repl[monos[p]] = {monos[j]: self.field.neg(c)
                               for j, c in row.items() if j != p}
-        data = (index, repl, std)
+        data = (repl, std)
         self._cache[key] = data
         return data
 
@@ -338,7 +329,7 @@ class Presentation:
         key = ("qb", d)
         if key not in self._cache:
             monos = self.monomials(d)
-            _, _, std = self._degree_data(d)
+            _, std = self._degree_data(d)
             self._cache[key] = GradedPiece(d, tuple(monos[i] for i in std))
         return self._cache[key]
 
@@ -359,7 +350,7 @@ class Presentation:
         if key in self._cache:
             return self._cache[key]
         d = self.degree_of(mono)
-        _, repl, _ = self._degree_data(d)
+        repl, _ = self._degree_data(d)
         if mono in repl:
             out = dict(repl[mono])
         else:
@@ -411,6 +402,24 @@ class Presentation:
     def element(self, coords, d):
         basis = self.quotient_basis(d).monomials
         return {basis[i]: c for i, c in coords.items()}
+
+    def ideal_span(self, gens, d):
+        """Coordinates of the degree-d multiples s*g of reduced elements g.
+
+        s runs over the standard monomials of degree d - deg(g); generators
+        of degree > d contribute nothing.  The rows span the degree-d part
+        of the ideal the gens generate.
+        """
+        rows = []
+        for g in gens:
+            e = self.degree_of(next(iter(g)))
+            if e > d:
+                continue
+            for s in self.quotient_basis(d - e).monomials:
+                prod = self.multiply({s: self.field.one}, g)
+                if prod:
+                    rows.append(self.coords(prod, d))
+        return rows
 
     def __repr__(self):
         return "Presentation(%r, vars=%s, relators=%d%s)" % (

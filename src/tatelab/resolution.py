@@ -7,39 +7,20 @@ the homology of the current tower in homological degree n-1 through the
 internal-degree bound, picks cycle representatives whose classes
 minimally generate it as a module over the ground ring (graded Nakayama:
 ascending by internal degree, a new generator is anything outside
-boundaries + variable-multiples of lower-degree cycles), and adjoins one
-variable per generator with that cycle as differential value.
+boundaries + ground-monomial multiples of the generators found in lower
+degrees), and adjoins one variable per generator with that cycle as
+differential value.
 
 All reported counts are certified only through the internal-degree
 bound D: homology generators of internal degree > D are invisible.
 """
 
 from . import linalg
-from .extensions import Element, ExtensionTower
+from .extensions import ExtensionTower
 
 
 class ResolutionError(ValueError):
     pass
-
-
-def ideal_span(ground, gens, d):
-    """Coordinates of the degree-d multiples s*g of ground elements g.
-
-    s runs over the standard monomials of degree d - deg(g); generators
-    of degree > d contribute nothing.  The rows span the degree-d part
-    of the ideal the gens generate.
-    """
-    field = ground.field
-    rows = []
-    for g in gens:
-        e = ground.degree_of(next(iter(g)))
-        if e > d:
-            continue
-        for s in ground.quotient_basis(d - e).monomials:
-            prod = ground.multiply({s: field.one}, g)
-            if prod:
-                rows.append(ground.coords(prod, d))
-    return rows
 
 
 def kernel_generators(pres):
@@ -58,9 +39,9 @@ def kernel_generators(pres):
     top = max((ground.degree_of(next(iter(g))) for g in raw), default=1)
     gens = []
     for d in range(2, top + 1):
-        pivots, red = linalg.rref(ideal_span(ground, raw, d), ground.field)
+        pivots, red = linalg.rref(ground.ideal_span(raw, d), ground.field)
         sub = linalg.Echelon(ground.field)
-        for row in ideal_span(ground, [g for _, g in gens], d):
+        for row in ground.ideal_span([g for _, g in gens], d):
             sub.add(row)
         for p in pivots:
             if sub.add(red[p]) is not None:
@@ -94,31 +75,24 @@ def minimal_generators(tower, q, D):
     """Cycle lifts of a minimal generating set of H_q over the ground ring.
 
     Scans internal degrees 0..D ascending; in degree d the new generators
-    are a complement basis of (boundaries + variable-multiples of lower
-    degree cycles) inside the cycle space.  Returns [(d, Element)].
+    are a complement basis, inside the cycle space, of the boundaries
+    plus the multiples s*g of the generators g found below d by the
+    standard ground monomials s of degree d - deg(g).  Returns
+    [(d, Element)].
     """
-    field = tower.field
-    ground = tower.ground
+    ground, one = tower.ground, tower.field.one
     gens = []
-    zelems = {}
     for d in range(0, D + 1):
         zcoords = tower.solved(q, d).kernel
-        zelems[d] = [tower.element(z, q, d) for z in zcoords]
-        sub = linalg.Echelon(field)
+        sub = linalg.Echelon(tower.field)
         for b in tower.solved(q + 1, d).image:
             sub.add(b)
-        for i, (nm, w) in enumerate(ground.variables):
-            if d - w < 0:
-                continue
-            vmono = tuple(1 if k == i else 0 for k in range(len(ground.names)))
-            velem = Element(tower, {(vmono, ()): field.one})
-            for z in zelems.get(d - w, ()):
-                vz = velem * z
-                if not vz.is_zero():
-                    sub.add(tower.coords(vz, q, d))
-        for i, z in enumerate(zcoords):
+        for e, g in gens:
+            for s in ground.quotient_basis(d - e).monomials:
+                sub.add(tower.coords(tower.ground_element({s: one}) * g, q, d))
+        for z in zcoords:
             if sub.add(z) is not None:
-                gens.append((d, zelems[d][i]))
+                gens.append((d, tower.element(z, q, d)))
     return gens
 
 
@@ -154,8 +128,8 @@ def build_acyclic_closure(pres, N, D):
     tower = ExtensionTower(pres, "gamma", nmax=N, dmax=D)
     for i, (nm, w) in enumerate(pres.variables):
         vmono = tuple(1 if k == i else 0 for k in range(len(pres.names)))
-        dval = Element(tower, {(vmono, ()): pres.field.one})
-        tower.adjoin("x1_%d" % (i + 1), 1, w, dval)
+        tower.adjoin("x1_%d" % (i + 1), 1, w,
+                     tower.ground_element({vmono: pres.field.one}))
     for n in range(2, N + 1):
         gens = minimal_generators(tower, n - 1, D)
         for i, (d, z) in enumerate(gens):

@@ -272,13 +272,33 @@ XY = [{"name": "x", "degree": 1}, {"name": "y", "degree": 1}]
     (["x^2"], "x^2", "'base_relators' must be a list"),
     ([5], [], "empty polynomial"),
     (None, [], "'relators' must be a list"),
+    ([{"x": 1}], [], "'relators' must list polynomial strings"),
+    (["x^2"], [{"x": 1}], "'base_relators' must list polynomial strings"),
 ], ids=["plain", "over-base", "base-string", "non-string-over-base",
-        "null-over-base"])
+        "null-over-base", "json-object", "base-json-object"])
 def test_malformed_relators_rejected(tmp_path, capsys, relators,
                                      base_relators, message):
     doc = {"field": {"type": "Q"}, "variables": XY, "relators": relators,
            "base_relators": base_relators}
     code, out, err = run(capsys, "ci-check", "--input", _write_doc(tmp_path, doc))
+    _assert_one_line_error(code, out, err, message)
+
+
+@pytest.mark.parametrize("witness, message", [
+    (5, "'witness' must be a list of polynomial strings"),
+    ([5], "'witness' must be a list of polynomial strings"),
+    ([{"z": 1}], "'witness' must be a list of polynomial strings"),
+    ([["z^2"]], "'witness' must be a list of polynomial strings"),
+    ("z^2", "'witness' must be a list of polynomial strings"),
+    (["z^"], "cannot parse 'z^'"),
+], ids=["number", "number-entry", "object-entry", "list-entry", "string",
+        "unparsable-entry"])
+def test_malformed_witness_rejected(tmp_path, capsys, witness, message):
+    with open(cat("tower_jz_q")) as fh:
+        doc = json.load(fh)
+    doc["witness"] = witness
+    code, out, err = run(capsys, "audit", "jacobi-zariski",
+                         "--input", _write_doc(tmp_path, doc))
     _assert_one_line_error(code, out, err, message)
 
 
@@ -400,13 +420,15 @@ def test_emitted_json_reemits_byte_identically(capsys):
 
 def test_output_independent_of_hash_seed():
     outs = []
+    root = os.path.dirname(CATALOG)
+    path = os.pathsep.join([os.path.join(root, "src"),
+                            os.environ.get("PYTHONPATH", "")])
     for seed in ("0", "7", "99"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "tatelab", "deviations",
              "--input", cat("m2zero_q"), "--format", "json"],
-            capture_output=True, text=True, env=env,
-            cwd=os.path.dirname(CATALOG))
+            capture_output=True, text=True, env=env, cwd=root)
         assert proc.returncode == 0
         outs.append(proc.stdout)
     assert outs[0] == outs[1] == outs[2]

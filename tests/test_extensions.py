@@ -217,7 +217,7 @@ def test_piece_enumeration_koszul():
     # the order itself is part of the contract: repeated calls agree
     assert monos == [t.word_str(w) for w in t.piece(1, 3)]
     assert monos == ["x*y2", "y*y2", "x*y1", "y*y1"]
-    assert t.piece(0, 0) == (t.unit_word(),)
+    assert t.piece(0, 0) == (((0, 0), ()),)
     assert t.piece(3, 6) == ()   # only two exterior variables exist
 
 

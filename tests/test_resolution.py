@@ -3,6 +3,8 @@
 import pytest
 
 import tatelab
+from tatelab import linalg
+from tatelab.extensions import POLYNOMIAL, Element
 from tatelab.fields import PrimeField, QQ
 from tatelab.presentations import Presentation, parse_presentation
 from tatelab.resolution import (ResolutionError, build_acyclic_closure,
@@ -10,7 +12,7 @@ from tatelab.resolution import (ResolutionError, build_acyclic_closure,
                                 koszul_complex, koszul_on_minimal_generators,
                                 minimal_generators)
 
-from conftest import homology_dim
+from conftest import homology_dim, load_pres
 
 
 def P(relators, variables=(("x", 1), ("y", 1)), field=QQ, base_relators=None):
@@ -249,3 +251,74 @@ def test_construction_deterministic():
     t2 = build_acyclic_closure(p2, 4, 10)
     assert [(v.name, v.hdeg, v.ideg, str(v.dval)) for v in t1.variables] == \
            [(v.name, v.hdeg, v.ideg, str(v.dval)) for v in t2.variables]
+
+
+# -- each tower step against its longhand form ---------------------------------
+
+TOWER_KINDS = [build_acyclic_closure, build_minimal_model]
+LONGHAND = ["m2zero_f2", "xsq_xy_q", "hyp_weighted_q"]
+
+
+def leibniz_by_products(t, word):
+    """d(word) as the sum of (-1)^{|left|} k * left * d(v) * rest over the
+    positions of the word, from Element products; k is the exponent e
+    for a polynomial variable and 1 otherwise."""
+    mono, ext = word
+    unit = (0,) * len(mono)
+    out = Element.zero(t)
+    parity = 0
+    for i, (idx, e) in enumerate(ext):
+        v = t.variables[idx]
+        rest = (((idx, e - 1),) if e > 1 else ()) + ext[i + 1:]
+        term = (Element.from_word(t, (mono, ext[:i])) * v.dval
+                * Element.from_word(t, (unit, rest)))
+        if v.flavor == POLYNOMIAL:
+            term = term.scale(t.field.from_int(e))
+        out = out + (-term if parity % 2 else term)
+        parity += e * v.hdeg
+    return out
+
+
+@pytest.mark.parametrize("build", TOWER_KINDS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize("name", LONGHAND)
+def test_word_differential_matches_element_products(name, build):
+    t = build(load_pres(name), 5, 10)
+    checked = 0
+    for n in range(6):
+        for d in range(11):
+            for w in t.piece(n, d):
+                assert t.word_differential(w) == leibniz_by_products(t, w), \
+                    t.word_str(w)
+                checked += 1
+    assert checked > 50
+
+
+def _rank(rows, field):
+    return len(linalg.rref(rows, field)[0])
+
+
+@pytest.mark.parametrize("build", TOWER_KINDS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize("name", LONGHAND)
+def test_generator_multiples_span_the_decomposables(name, build):
+    """Boundaries plus ground-monomial multiples of the generators found
+    below d span the same space as boundaries plus x_i * Z_{d - w_i}."""
+    pres, D = load_pres(name), 10
+    for q in range(1, 5):
+        t = build(pres, q, D)
+        ground, one = t.ground, t.field.one
+        gens = minimal_generators(t, q, D)
+        for d in range(D + 1):
+            bounds = t.solved(q + 1, d).image
+            by_gens = [t.coords(t.ground_element({s: one}) * g, q, d)
+                       for e, g in gens if e < d
+                       for s in ground.quotient_basis(d - e).monomials]
+            by_cycles = []
+            for i, (_, w) in enumerate(ground.variables):
+                x = t.ground_element({tuple(int(k == i) for k in
+                                            range(len(ground.names))): one})
+                by_cycles += [t.coords(x * t.element(z, q, d - w), q, d)
+                              for z in t.solved(q, d - w).kernel]
+            a = _rank(bounds + by_gens, t.field)
+            b = _rank(bounds + by_cycles, t.field)
+            assert a == b == _rank(bounds + by_gens + by_cycles, t.field), \
+                (q, d)
