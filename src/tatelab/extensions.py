@@ -198,10 +198,9 @@ class ExtensionTower:
             raise TowerError("differential value of %s is not a cycle" % name)
         var = ExtensionVariable(name, hdeg, ideg, flavor, dval, len(self.variables))
         self.variables.append(var)
-        # a variable of homological degree h changes pieces at h and above,
-        # and boundary data one step below
-        cut = hdeg - 1
-        for key in [k for k in self._cache if k[1] >= cut]:
+        # a variable of bidegree (h, i) adds words only to pieces (n, d)
+        # with n >= h and d >= i; every other piece keeps its words
+        for key in [k for k in self._cache if k[1] >= hdeg and k[2] >= ideg]:
             del self._cache[key]
         return var
 
@@ -385,14 +384,9 @@ class ExtensionTower:
         return cols, len(self.piece(n - 1, d))
 
     def solved(self, n, d):
-        """Cached kernel/image/rank data for the differential out of (n, d)."""
-        key = ("solved", n, d)
-        if key in self._cache:
-            return self._cache[key]
+        """Canonical kernel basis of the differential out of (n, d), uncached."""
         cols, nrows = self.matrix(n, d)
-        res = linalg.solve_cols(cols, nrows, self.field)
-        self._cache[key] = res
-        return res
+        return linalg.solve_cols(cols, nrows, self.field)
 
     # -- printing ---------------------------------------------------------
 

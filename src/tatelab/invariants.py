@@ -22,13 +22,15 @@ class InsufficientCertification(ValueError):
 
 
 class DeviationTable:
-    """Counts eps_n for a range of n, with their certification bound."""
+    """Counts eps_n for a range of n, with their certification bound;
+    ``degrees[n]`` lists the internal degrees of the eps_n variables."""
 
-    def __init__(self, route, N, D, counts):
+    def __init__(self, route, N, D, degrees):
         self.route = route
         self.N = N
         self.D = D
-        self.counts = dict(counts)
+        self.degrees = {n: list(ds) for n, ds in degrees.items()}
+        self.counts = {n: len(ds) for n, ds in self.degrees.items()}
 
     def __getitem__(self, n):
         return self.counts[n]
@@ -68,8 +70,8 @@ def deviations(pres, N, D, route="acyclic-closure"):
     if N < 1:
         raise ValueError("N must be >= 1")
     tower = build_acyclic_closure(pres, N, D)
-    counts = {n: len(tower.variables_of_hdeg(n)) for n in range(1, N + 1)}
-    return DeviationTable(route, N, D, counts)
+    return DeviationTable(route, N, D, {n: [v.ideg for v in tower.variables_of_hdeg(n)]
+                                        for n in range(1, N + 1)})
 
 
 def model_stage(N):
@@ -83,8 +85,9 @@ def model_stage(N):
 
 def model_deviations(model, N, D):
     """eps_2..eps_N read off a minimal model built to stage >= N - 1."""
-    counts = {n: len(model.variables_of_hdeg(n - 1)) for n in range(2, N + 1)}
-    return DeviationTable("minimal-model", N, D, counts)
+    return DeviationTable("minimal-model", N, D,
+                          {n: [v.ideg for v in model.variables_of_hdeg(n - 1)]
+                           for n in range(2, N + 1)})
 
 
 def d2_rank_via_koszul(pres, D):
@@ -219,19 +222,20 @@ class BettiTable:
 
 def betti_numbers(pres, N, D):
     """Betti numbers of the residue field from the acyclic closure: b_n is
-    the number of divided-power words of homological degree n in the
-    closure variables (with base monomial 1), which is the coefficient of
-    t^n in the deviation product.  Certified through D: a closure variable
-    of internal degree > D would be invisible."""
+    the number of divided-power words of homological degree n and internal
+    degree <= D in the closure variables (with base monomial 1), read off
+    the deviation product.  Exact: the closure finds every variable of
+    internal degree <= D."""
     return BettiTable(poincare_from_deviations(deviations(pres, N, D), N), N, D)
 
 
 def poincare_from_deviations(table, T):
     """Coefficients through t^T of the deviation product
 
-        prod_{n odd} (1 + t^n)^{eps_n} / prod_{n even} (1 - t^n)^{eps_n}.
+        prod_{n odd} (1 + t^n u^d)^{eps_{n,d}} / prod_{n even} (1 - t^n u^d)^{eps_{n,d}},
 
-    Requires a certified eps_n for every 1 <= n <= T."""
+    each summed over u^0..u^D, D the table's bound: words of internal degree
+    <= D only.  Requires a certified eps_n for every 1 <= n <= T."""
     if T < 0:
         raise ValueError("T must be >= 0")
     missing = [n for n in range(1, T + 1) if table.get(n) is None]
@@ -239,11 +243,14 @@ def poincare_from_deviations(table, T):
         raise InsufficientCertification(
             "series through t^%d needs eps_%d, which is not certified "
             "(table covers n <= %d)" % (T, missing[0], table.N))
-    out = [1] + [0] * T
+    D = table.D
+    out = [[1] + [0] * D] + [[0] * (D + 1) for _ in range(T)]
     for n in range(1, T + 1):
-        # times (1 + t^n) from the top down; over (1 - t^n) from the bottom up
+        # times (1 + t^n u^d) from the top down; over (1 - t^n u^d) from the bottom up
         ks = range(T, n - 1, -1) if n % 2 else range(n, T + 1)
-        for _ in range(table[n]):
+        for d in table.degrees[n]:
             for k in ks:
-                out[k] += out[k - n]
-    return out
+                row, below = out[k], out[k - n]
+                for j in range(d, D + 1):
+                    row[j] += below[j - d]
+    return [sum(row) for row in out]

@@ -2,8 +2,8 @@
 
 Vectors are dicts {index: nonzero scalar}.  A matrix is a list of sparse
 columns plus an explicit row count.  Pivots are always taken at the
-smallest available index, so every derived basis (row echelon, kernel,
-image) is deterministic and, for a fixed span, canonical.
+smallest available index, so every derived basis (row echelon, kernel)
+is deterministic and, for a fixed span, canonical.
 
 Elimination works on the field's row form (``field.to_row``): primitive
 integer vectors over Q, so that no Fraction is built until ``rref``
@@ -45,13 +45,6 @@ class Echelon:
         self.rows[j] = self.field.pivot_row(r, j)
         return j
 
-    def contains(self, v):
-        return not self.reduce(v)
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
 
 def rref(vectors, field):
     """Canonical reduced row echelon basis of span(vectors).
@@ -81,20 +74,12 @@ def transpose(cols, nrows):
     return [rows.get(i, {}) for i in range(nrows)]
 
 
-class SolveResult:
-    __slots__ = ("rank", "kernel", "image")
-
-    def __init__(self, rank, kernel, image):
-        self.rank = rank
-        self.kernel = kernel
-        self.image = image
-
-
 def solve_cols(cols, nrows, field):
-    """Rank, kernel basis and image basis of a matrix, from one elimination.
+    """Canonical kernel basis of a matrix, from one elimination of its rows.
 
-    The kernel basis is in canonical (RREF-derived) form; the image basis
-    is the pivot columns of the original matrix.
+    One vector per non-pivot column f of the reduced row echelon form: 1 at
+    f and the negated reduced entries of column f at the pivots.  Returns a
+    list, ascending by f.
     """
     pivots, red = rref(transpose(cols, nrows), field)
     pivset = set(pivots)
@@ -108,6 +93,4 @@ def solve_cols(cols, nrows, field):
             if c is not None:
                 v[p] = field.neg(c)
         kernel.append(v)
-    image = [dict(cols[p]) for p in pivots]
-    assert len(pivots) + len(kernel) == len(cols)
-    return SolveResult(len(pivots), kernel, image)
+    return kernel

@@ -9,7 +9,8 @@ minimally generate it as a module over the ground ring (graded Nakayama:
 ascending by internal degree, a new generator is anything outside
 boundaries + ground-monomial multiples of the generators found in lower
 degrees), and adjoins one variable per generator with that cycle as
-differential value.
+differential value.  Boundaries are the columns of d_n as they stand, so a
+stage eliminates one differential, d_{n-1}, per internal degree.
 
 All reported counts are certified only through the internal-degree
 bound D: homology generators of internal degree > D are invisible.
@@ -76,21 +77,20 @@ def minimal_generators(tower, q, D):
 
     Scans internal degrees 0..D ascending; in degree d the new generators
     are a complement basis, inside the cycle space, of the boundaries
-    plus the multiples s*g of the generators g found below d by the
-    standard ground monomials s of degree d - deg(g).  Returns
-    [(d, Element)].
+    (the columns of the differential out of (q+1, d), unsolved) plus the
+    multiples s*g of the generators g found below d by the standard ground
+    monomials s of degree d - deg(g).  Returns [(d, Element)].
     """
     ground, one = tower.ground, tower.field.one
     gens = []
     for d in range(0, D + 1):
-        zcoords = tower.solved(q, d).kernel
         sub = linalg.Echelon(tower.field)
-        for b in tower.solved(q + 1, d).image:
+        for b in tower.matrix(q + 1, d)[0]:
             sub.add(b)
         for e, g in gens:
             for s in ground.quotient_basis(d - e).monomials:
                 sub.add(tower.coords(tower.ground_element({s: one}) * g, q, d))
-        for z in zcoords:
+        for z in tower.solved(q, d):
             if sub.add(z) is not None:
                 gens.append((d, tower.element(z, q, d)))
     return gens

@@ -25,8 +25,9 @@ def load_pres(name):
 
 
 def homology_dim(t, n, d):
-    """dim H_n of tower t in internal degree d: cycles minus boundaries."""
-    return len(t.solved(n, d).kernel) - t.solved(n + 1, d).rank
+    """dim H_n of tower t in internal degree d: cycles minus boundaries,
+    the rank of d_{n+1} being its source dimension minus its nullity."""
+    return len(t.solved(n, d)) - (len(t.piece(n + 1, d)) - len(t.solved(n + 1, d)))
 
 
 @pytest.fixture(scope="session")

@@ -82,6 +82,19 @@ def test_betti_matches_syzygy_oracle(name):
         betti_oracle(doc, 6, 12)
 
 
+@pytest.mark.parametrize("N, D", [(5, 8), (4, 4), (6, 3)])
+@pytest.mark.parametrize("name", SINGLE_INSTANCES)
+def test_betti_counts_words_through_D(name, N, D):
+    # at small D the closure's words of homological degree <= N reach past
+    # D; only those of internal degree <= D are counted, as the oracle's
+    # resolution truncated at D counts them
+    doc = load_doc(name)
+    pres = parse_presentation(doc)
+    want = betti_oracle(doc, N, D)
+    assert betti_numbers(pres, N, D).counts == want
+    assert poincare_from_deviations(deviations(pres, N, D), N) == want
+
+
 # -- Poincare series ----------------------------------------------------------
 
 def test_poincare_hypersurface_all_ones():
@@ -104,10 +117,12 @@ def test_poincare_refuses_uncertified_tail():
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.lists(st.integers(0, 3), max_size=9))
 def test_poincare_series_inverts_to_deviations(eps):
-    # the oracle strips the product factor by factor, with Fractions
+    # the oracle strips the product factor by factor, with Fractions; each
+    # variable sits in internal degree n, so every word through t^9 lies
+    # below D = 12 and the truncation at u^D drops nothing
     T = len(eps)
     table = DeviationTable("acyclic-closure", T, 12,
-                           {n: e for n, e in enumerate(eps, 1)})
+                           {n: [n] * e for n, e in enumerate(eps, 1)})
     assert deviations_from_betti(poincare_from_deviations(table, T), T) == eps
 
 

@@ -1,5 +1,7 @@
 """Koszul complexes, homology dimensions, and staged tower construction."""
 
+import sys
+
 import pytest
 
 import tatelab
@@ -308,7 +310,7 @@ def test_generator_multiples_span_the_decomposables(name, build):
         ground, one = t.ground, t.field.one
         gens = minimal_generators(t, q, D)
         for d in range(D + 1):
-            bounds = t.solved(q + 1, d).image
+            bounds = t.matrix(q + 1, d)[0]
             by_gens = [t.coords(t.ground_element({s: one}) * g, q, d)
                        for e, g in gens if e < d
                        for s in ground.quotient_basis(d - e).monomials]
@@ -317,8 +319,58 @@ def test_generator_multiples_span_the_decomposables(name, build):
                 x = t.ground_element({tuple(int(k == i) for k in
                                             range(len(ground.names))): one})
                 by_cycles += [t.coords(x * t.element(z, q, d - w), q, d)
-                              for z in t.solved(q, d - w).kernel]
+                              for z in t.solved(q, d - w)]
             a = _rank(bounds + by_gens, t.field)
             b = _rank(bounds + by_cycles, t.field)
             assert a == b == _rank(bounds + by_gens + by_cycles, t.field), \
                 (q, d)
+
+
+# -- one elimination per stage and internal degree ------------------------------
+
+GUARDED = [(build_minimal_model, "m2zero_q"), (build_acyclic_closure, "m2zero_f2"),
+           (build_minimal_model, "xsq_xy_q")]
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Calls of linalg.solve_cols, counted under every name a tatelab module
+    holds for it."""
+    calls = []
+    orig = linalg.solve_cols
+
+    def counting(*args):
+        calls.append(args)
+        return orig(*args)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").split(".")[0] != "tatelab":
+            continue
+        for key, value in list(vars(mod).items()):
+            if value is orig:
+                monkeypatch.setattr(mod, key, counting)
+    return calls
+
+
+@pytest.mark.parametrize("build, name", GUARDED,
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_one_solve_per_stage_and_degree(solve_calls, build, name):
+    # stages 2..N each eliminate the differential out of (q, d) once per d;
+    # the boundaries are read off the next matrix's columns unsolved
+    N, D = 5, 10
+    build(load_pres(name), N, D)
+    assert len(solve_calls) == (N - 1) * (D + 1)
+
+
+@pytest.mark.parametrize("build, name", GUARDED,
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_cached_pieces_match_a_fresh_enumeration(build, name):
+    # adjoin drops only the pieces a new variable reaches; whatever it keeps
+    # must still be what an empty cache enumerates
+    t = build(load_pres(name), 5, 10)
+    cached = dict(t._cache)
+    assert any(key[0] == "piece" for key in cached)
+    t._cache.clear()
+    for (kind, n, d), value in cached.items():
+        fresh = t.piece(n, d) if kind == "piece" else t.piece_index(n, d)
+        assert fresh == value, (kind, n, d)
