@@ -147,6 +147,8 @@ def _doc_bound(doc, key, default, least):
 
 def _cmd_audit(args):
     doc = _load(args.input)
+    if not isinstance(doc, dict):
+        raise ValueError("audit document must be a JSON object")
     N = _doc_bound(doc, "N", args.N, 2)
     D = _doc_bound(doc, "D", args.D, 2)
     if "tower" in doc:

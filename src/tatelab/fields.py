@@ -1,9 +1,11 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
 All arithmetic is exact -- no floats anywhere in the engine.  Field
-elements are plain Python values (``Fraction`` for Q, ``int`` in
-``range(p)`` for F_p); the field object supplies the operations, so the
-linear algebra and ring layers stay field-agnostic.
+elements are plain Python values: over Q an ``int`` when the rational is
+integral and a ``Fraction`` only when its denominator is not 1, so the
+integer data the towers almost always carry never allocates one; over F_p
+an ``int`` in ``range(p)``.  The field object supplies the operations, so
+the linear algebra and ring layers stay field-agnostic.
 
 Each field also fixes the row form that ``linalg`` eliminates in: a
 nonzero scalar multiple of a sparse field vector, chosen so that one
@@ -56,25 +58,30 @@ def _primitive(row):
     return {k: c // g for k, c in row.items()} if g > 1 else row
 
 
+def _canonical(x):
+    """An int for an integral rational, else the Fraction itself."""
+    return x.numerator if x.__class__ is Fraction and x.denominator == 1 else x
+
+
 class Rationals:
-    """Arbitrary-precision rationals, normalized by Fraction."""
+    """Arbitrary-precision rationals: ints when integral, else Fractions."""
 
     kind = "Q"
     p = None
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def add(self, a, b):
-        return a + b
+        return _canonical(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _canonical(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _canonical(a * b)
 
     def neg(self, a):
         return -a
@@ -82,7 +89,7 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return _canonical(Fraction(1) / a)
 
     def is_zero(self, a):
         return a == 0
@@ -118,7 +125,8 @@ class Rationals:
 
     def from_row(self, row, j):
         lead = row[j]
-        return {k: Fraction(c, lead) for k, c in row.items()}
+        return {k: c // lead if c % lead == 0 else Fraction(c, lead)
+                for k, c in row.items()}
 
     def spec(self):
         return {"type": "Q"}

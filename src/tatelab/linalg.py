@@ -6,11 +6,11 @@ smallest available index, so every derived basis (row echelon, kernel)
 is deterministic and, for a fixed span, canonical.
 
 Elimination works on the field's row form (``field.to_row``): primitive
-integer vectors over Q, so that no Fraction is built until ``rref``
-returns its lead-1 rows, and the field vectors themselves over F_p.  A
-row form vector is a nonzero scalar multiple of the field vector it
-stands for, so every lead index and rank is the one plain field
-arithmetic would give.
+integer vectors over Q and the field vectors themselves over F_p.  Over Q
+no Fraction is built during elimination, and ``rref``'s lead-1 rows hold
+one only where the lead does not divide an entry.  A row form vector is
+a nonzero scalar multiple of the field vector it stands for, so every
+lead index and rank is the one plain field arithmetic would give.
 """
 
 

@@ -10,11 +10,16 @@ ascending by internal degree, a new generator is anything outside
 boundaries + ground-monomial multiples of the generators found in lower
 degrees), and adjoins one variable per generator with that cycle as
 differential value.  Boundaries are the columns of d_n as they stand, so a
-stage eliminates one differential, d_{n-1}, per internal degree.
+stage eliminates one differential, d_{n-1}, per internal degree, and a
+degree with no cycles costs that elimination alone.  Boundaries and
+multiples are reduced only in the free coordinates of the kernel of
+d_{n-1}, which fix a cycle, and only until they span all of them.
 
 All reported counts are certified only through the internal-degree
 bound D: homology generators of internal degree > D are invisible.
 """
+
+from itertools import chain
 
 from . import linalg
 from .extensions import ExtensionTower
@@ -80,19 +85,35 @@ def minimal_generators(tower, q, D):
     (the columns of the differential out of (q+1, d), unsolved) plus the
     multiples s*g of the generators g found below d by the standard ground
     monomials s of degree d - deg(g).  Returns [(d, Element)].
+
+    A cycle is fixed by its coordinates at the free columns of d_q, and the
+    canonical kernel vector of free column f is 1 at f, 0 at the other free
+    columns and supported below f.  So the boundaries and multiples are
+    reduced in free coordinates alone, with leads at the highest free
+    column, and the kernel vectors kept are those whose free column is not
+    a lead: the same cycles, in the same order, that a greedy complement of
+    ascending kernel vectors on full coordinates picks.  A degree without
+    cycles reads no boundaries, and reduction stops once the span fills
+    every free coordinate.
     """
     ground, one = tower.ground, tower.field.one
     gens = []
     for d in range(0, D + 1):
+        kernel = tower.solved(q, d)
+        if not kernel:
+            continue
+        # free column of the i-th kernel vector -> position, highest first
+        nfree = len(kernel)
+        pos = {max(z): nfree - 1 - i for i, z in enumerate(kernel)}
         sub = linalg.Echelon(tower.field)
-        for b in tower.matrix(q + 1, d)[0]:
-            sub.add(b)
-        for e, g in gens:
-            for s in ground.quotient_basis(d - e).monomials:
-                sub.add(tower.coords(tower.ground_element({s: one}) * g, q, d))
-        for z in tower.solved(q, d):
-            if sub.add(z) is not None:
-                gens.append((d, tower.element(z, q, d)))
+        multiples = (tower.coords(tower.ground_element({s: one}) * g, q, d)
+                     for e, g in gens for s in ground.quotient_basis(d - e).monomials)
+        for v in chain(tower.matrix(q + 1, d)[0], multiples):
+            sub.add({pos[k]: c for k, c in v.items() if k in pos})
+            if len(sub.rows) == nfree:
+                break
+        gens += [(d, tower.element(z, q, d)) for i, z in enumerate(kernel)
+                 if nfree - 1 - i not in sub.rows]
     return gens
 
 

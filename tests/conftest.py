@@ -14,6 +14,12 @@ SINGLE_INSTANCES = [
 
 TOWER_INSTANCES = ["tower_ci_q", "tower_jz_q", "tower_jz_f2"]
 
+# a Q ring whose eliminations meet non-unit pivots and print non-integral
+# coefficients
+NONUNIT_Q = {"field": {"type": "Q"},
+             "variables": [{"name": "x", "degree": 1}, {"name": "y", "degree": 1}],
+             "relators": ["2*x^2 - 3*y^2", "x*y"], "base_relators": []}
+
 
 def load_doc(name):
     with open(os.path.join(CATALOG, name + ".json")) as fh:

@@ -351,6 +351,13 @@ def test_audit_document_bounds_rejected(tmp_path, capsys, kind, name, key, value
                            "audit document bound %r must be an integer" % key)
 
 
+@pytest.mark.parametrize("kind", ["rigidity", "jacobi-zariski"])
+@pytest.mark.parametrize("doc", [[1, 2], "tower", 3])
+def test_audit_document_must_be_an_object(tmp_path, capsys, kind, doc):
+    code, out, err = run(capsys, "audit", kind, "--input", _write_doc(tmp_path, doc))
+    _assert_one_line_error(code, out, err, "audit document must be a JSON object")
+
+
 def test_bound_violations(capsys):
     code, _, err = run(capsys, "betti", "--input", cat("hyp_q"), "--N", "1")
     assert code == 1

@@ -16,6 +16,17 @@ def test_rationals_arithmetic():
     assert QQ.from_int(-4) == Fraction(-4)
 
 
+def test_rationals_are_ints_when_integral():
+    third = QQ.inv(QQ.from_int(3))
+    assert third == Fraction(1, 3) and not isinstance(third, float)
+    assert type(QQ.from_int(4)) is int
+    assert type(QQ.inv(QQ.from_int(-1))) is int
+    assert type(QQ.mul(Fraction(3, 2), Fraction(2, 3))) is int
+    row = QQ.from_row({0: 2, 1: 4}, 0)
+    assert row == {0: 1, 1: 2} and all(type(c) is int for c in row.values())
+    assert QQ.from_row({0: 2, 1: 3}, 0)[1] == Fraction(3, 2)
+
+
 def test_prime_field_arithmetic():
     f5 = PrimeField(5)
     assert f5.add(3, 4) == 2

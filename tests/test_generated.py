@@ -2,9 +2,10 @@
 
 Hypothesis draws small graded rings beyond the catalog: 2-3 variables of
 weight 1-2 and 1-3 homogeneous monomial or binomial relators of degree
-2-3, over Q, F_2 and F_3.  The strategy draws only what the parser
-accepts: no monomial of a relator is linear, and no relator vanishes in
-the field, since each keeps a term with coefficient 1.
+2-3, over Q, F_2 and F_3; a second term may carry the coefficient 2 or
+-3, so eliminations over Q meet non-unit pivots.  The strategy draws only
+what the parser accepts: no monomial of a relator is linear, and no
+relator vanishes in the field, since each keeps a term with coefficient 1.
 """
 
 from hypothesis import given, seed, settings
@@ -45,7 +46,7 @@ def presentations(draw):
                  if sum(m) >= 2]
         terms = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=2,
                               unique=True))
-        sign = draw(st.sampled_from(["+", "-", "+2*"]))
+        sign = draw(st.sampled_from(["+", "-", "+2*", "-3*"]))
         relators.append(sign.join(mono_str(m) for m in terms))
     return {"field": draw(st.sampled_from(FIELDS)),
             "variables": [{"name": NAMES[i], "degree": w}

@@ -1,0 +1,63 @@
+"""Byte-identity of the model route's stdout against recorded hashes.
+
+``golden_stdout.json`` maps each command line below to the SHA-256 of its
+stdout and its exit code.  A change that is meant to leave every printed
+byte alone (a speedup, a refactor) keeps this test green for free; one that
+changes output on purpose re-records the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import io
+import json
+import os
+import sys
+from contextlib import redirect_stdout
+
+from tatelab.cli import main
+
+from conftest import CATALOG, NONUNIT_Q, SINGLE_INSTANCES
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_stdout.json")
+
+RINGS = SINGLE_INSTANCES + ["nonunit_q"]
+
+
+def jobs():
+    for name in RINGS:
+        for route in ("acyclic-closure", "minimal-model"):
+            yield name, ["model-print", "--route", route]
+        yield name, ["deviations", "--route", "minimal-model", "--N", "7"]
+
+
+def run_all(tmpdir):
+    """{command line: {"sha256": stdout hash, "exit": code}}, in-process."""
+    nonunit = os.path.join(tmpdir, "nonunit_q.json")
+    with open(nonunit, "w") as fh:
+        json.dump(NONUNIT_Q, fh)
+    out = {}
+    for name, argv in jobs():
+        path = nonunit if name == "nonunit_q" else os.path.join(CATALOG, name + ".json")
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main(argv + ["--input", path, "--format", "json"])
+        key = " ".join(argv + [name])
+        out[key] = {"sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest(),
+                    "exit": code}
+    return out
+
+
+def test_stdout_matches_recorded_hashes(tmp_path):
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    assert run_all(str(tmp_path)) == golden
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmpdir:
+        doc = run_all(tmpdir)
+    with open(GOLDEN, "w") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write("recorded %d hashes in %s\n" % (len(doc), GOLDEN))

@@ -1,11 +1,12 @@
 """Koszul complexes, homology dimensions, and staged tower construction."""
 
 import sys
+from fractions import Fraction
 
 import pytest
 
 import tatelab
-from tatelab import linalg
+from tatelab import linalg, resolution
 from tatelab.extensions import POLYNOMIAL, Element
 from tatelab.fields import PrimeField, QQ
 from tatelab.presentations import Presentation, parse_presentation
@@ -14,7 +15,7 @@ from tatelab.resolution import (ResolutionError, build_acyclic_closure,
                                 koszul_complex, koszul_on_minimal_generators,
                                 minimal_generators)
 
-from conftest import homology_dim, load_pres
+from conftest import NONUNIT_Q, homology_dim, load_pres
 
 
 def P(relators, variables=(("x", 1), ("y", 1)), field=QQ, base_relators=None):
@@ -374,3 +375,77 @@ def test_cached_pieces_match_a_fresh_enumeration(build, name):
     for (kind, n, d), value in cached.items():
         fresh = t.piece(n, d) if kind == "piece" else t.piece_index(n, d)
         assert fresh == value, (kind, n, d)
+
+
+# -- generator selection in free cycle coordinates ------------------------------
+
+def full_coordinate_generators(tower, q, D):
+    """minimal_generators on full piece coordinates: an Echelon fed the
+    boundary columns, the s*g multiples, then the ascending kernel vectors,
+    keeping each kernel vector that adds a lead."""
+    ground, one = tower.ground, tower.field.one
+    gens = []
+    for d in range(D + 1):
+        sub = linalg.Echelon(tower.field)
+        for b in tower.matrix(q + 1, d)[0]:
+            sub.add(b)
+        for e, g in gens:
+            for s in ground.quotient_basis(d - e).monomials:
+                sub.add(tower.coords(tower.ground_element({s: one}) * g, q, d))
+        for z in tower.solved(q, d):
+            if sub.add(z) is not None:
+                gens.append((d, tower.element(z, q, d)))
+    return gens
+
+
+SELECTION_RINGS = ["m2zero_f2", "m2zero_q", "xsq_xy_q", "hyp_weighted_q", "nonunit_q"]
+
+
+def _pres(name):
+    return parse_presentation(NONUNIT_Q) if name == "nonunit_q" else load_pres(name)
+
+
+@pytest.mark.parametrize("build", TOWER_KINDS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize("name", SELECTION_RINGS)
+def test_free_coordinate_selection_matches_full_coordinates(monkeypatch, name, build):
+    # each stage q = 1..4 of the build is checked on the tower as it stands
+    N, D = 5, 10
+    stages = []
+
+    def checked(tower, q, bound):
+        gens = minimal_generators(tower, q, bound)
+        assert gens == full_coordinate_generators(tower, q, bound), q
+        stages.append(q)
+        return gens
+
+    monkeypatch.setattr(resolution, "minimal_generators", checked)
+    build(_pres(name), N, D)
+    assert stages == list(range(1, N))
+
+
+# -- canonical scalars over Q ---------------------------------------------------
+
+Q_RINGS = ["hyp_q", "ci_q", "m2zero_q", "xsq_xy_q", "hyp_weighted_q", "nonunit_q"]
+Q_BUILDS = [lambda p: build_minimal_model(p, 4, 8),
+            lambda p: build_acyclic_closure(p, 4, 8),
+            lambda p: koszul_complex(p, 8),
+            lambda p: koszul_on_minimal_generators(p, 8)]
+
+
+def _canonical(c):
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+@pytest.mark.parametrize("build", Q_BUILDS, ids=["model", "closure", "koszul",
+                                                 "koszul-minimal"])
+@pytest.mark.parametrize("name", Q_RINGS)
+def test_rational_scalars_are_canonical(name, build):
+    # an integral rational is an int; a Fraction always has denominator > 1
+    t = build(_pres(name))
+    for v in t.variables:
+        assert all(map(_canonical, v.dval.terms.values())), v.name
+    hmax = max(v.hdeg for v in t.variables) + 1
+    for n in range(hmax + 1):
+        for d in range(9):
+            for z in t.solved(n, d):
+                assert all(map(_canonical, z.values())), (n, d)
