@@ -15,6 +15,9 @@ Conventions fixed once and for all:
 
   * the differential follows the left Leibniz rule
         d(a*b) = d(a)*b + (-1)^{|a|} a*d(b);
+    it is ground-linear, so a word's differential comes from a shorter
+    word's: d(m*X) = m*d(X) for a ground monomial m, and
+    d(a*v^e) = d(a)*v^e + (-1)^{|a|} a*d(v^e) for the last factor v^e;
   * a word is a canonical product  (base monomial) * v1^{e1} * v2^{e2} ...
     with the variables in adjunction order; reordering while multiplying
     picks up the usual Koszul sign, one -1 per odd-odd transposition;
@@ -27,6 +30,7 @@ a tuple of (variable index, exponent) pairs sorted by index.
 """
 
 from math import comb
+from operator import add
 
 from . import linalg
 
@@ -273,35 +277,45 @@ class ExtensionTower:
         return [((sm, ext), f.mul(c, r)) for sm, r in combo.items()]
 
     def word_differential(self, word):
-        """d(word) via the left Leibniz rule; cached per word.
+        """d(word) from the cached differential of a shorter word.
 
-        At position t the left factor ext[:t] and d(v) use only variables
-        before v, the rest v^(e-1) * ext[t+1:] only v and later ones: the
-        rest is a plain suffix of each word of left * d(v), unsigned.
+        For a ground monomial m != 1, d(m * X) = m * d(1 * X): its monomials
+        times m, reduced.  For the last factor v^e of a pure word a * v^e,
+        d(a * v^e) = d(a) * v^e + (-1)^{|a|} k * a * d(v) * v^(e-1), with
+        k = e for a polynomial v and 1 otherwise; d(a) and a * d(v) use only
+        variables before v, so v^e and v^(e-1) are plain, unsigned suffixes.
+        A word with no extension part has d = 0 and no cache entry.
         """
         cached = self._dwords.get(word)
         if cached is not None:
             return cached
         mono, ext = word
+        if not ext:
+            return Element.zero(self)
         f = self.field
-        out = {}
-        parity = 0  # homological degree of the factors left of position t
-        for t, (idx, e) in enumerate(ext):
+        if any(mono):
+            out, reduce = {}, self.ground.reduce_monomial
+            terms = (((sm, x), f.mul(c, r)) for (m, x), c
+                     in self.word_differential(((0,) * len(mono), ext)).terms.items()
+                     for sm, r in reduce(tuple(map(add, mono, m))).items())
+        else:
+            left, (idx, e) = ext[:-1], ext[-1]
             v = self.variables[idx]
+            out = {(m, x + ext[-1:]): c for (m, x), c
+                   in self.word_differential((mono, left)).terms.items()}
             k = f.from_int(e if v.flavor == POLYNOMIAL else 1)
-            if parity % 2:
+            if sum(self.variables[i].hdeg * n for i, n in left) % 2:
                 k = f.neg(k)
-            rest = (((idx, e - 1),) if e > 1 else ()) + ext[t + 1:]
-            for w, c in v.dval.terms.items():
-                c = f.mul(k, c)
-                for (m, x), y in self._mul_words((mono, ext[:t]), w):
-                    ww = (m, x + rest)
-                    s = f.add(out.get(ww, f.zero), f.mul(c, y))
-                    if f.is_zero(s):
-                        out.pop(ww, None)
-                    else:
-                        out[ww] = s
-            parity += e * v.hdeg
+            rest = ((idx, e - 1),) if e > 1 else ()
+            terms = (((m, x + rest), f.mul(f.mul(k, c), y))
+                     for w, c in v.dval.terms.items()
+                     for (m, x), y in self._mul_words((mono, left), w))
+        for w, c in terms:
+            s = f.add(out.get(w, f.zero), c)
+            if f.is_zero(s):
+                out.pop(w, None)
+            else:
+                out[w] = s
         result = Element(self, out)
         self._dwords[word] = result
         return result

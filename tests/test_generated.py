@@ -2,8 +2,8 @@
 
 Hypothesis draws small graded rings beyond the catalog: 2-3 variables of
 weight 1-2 and 1-3 homogeneous monomial or binomial relators of degree
-2-3, over Q, F_2 and F_3; a second term may carry the coefficient 2 or
--3, so eliminations over Q meet non-unit pivots.  The strategy draws only
+2-3, over Q, F_2, F_3 and F_5; a second term may carry the coefficient 2
+or -3, so eliminations over Q meet non-unit pivots.  The strategy draws only
 what the parser accepts: no monomial of a relator is linear, and no
 relator vanishes in the field, since each keeps a term with coefficient 1.
 """
@@ -20,7 +20,8 @@ from oracles import betti_oracle
 
 N, D = 4, 6
 NAMES = "xyz"
-FIELDS = [{"type": "Q"}, {"type": "Fp", "p": 2}, {"type": "Fp", "p": 3}]
+FIELDS = [{"type": "Q"}, {"type": "Fp", "p": 2}, {"type": "Fp", "p": 3},
+          {"type": "Fp", "p": 5}]
 
 
 def monomials(weights, d):
@@ -75,3 +76,24 @@ def test_routes_and_oracle_agree_on_generated_rings(doc):
     assert betti_numbers(pres, N, D).counts == betti_oracle(doc, N, D)
     assert_d_squared_zero(closure, N + 1)
     assert_d_squared_zero(model, N)
+
+
+def invariants(doc):
+    """Bigraded deviations of both routes and the Betti numbers."""
+    pres = parse_presentation(doc)
+    towers = (build_acyclic_closure(pres, N, D), build_minimal_model(pres, N - 1, D))
+    return ([sorted((v.hdeg, v.ideg) for v in t.variables) for t in towers],
+            betti_numbers(pres, N, D).counts)
+
+
+@seed(20261018)
+@settings(max_examples=50, deadline=None, database=None)
+@given(st.data())
+def test_counts_invariant_under_permutation(data):
+    doc = data.draw(presentations())
+    nvars, nrels = len(doc["variables"]), len(doc["relators"])
+    var_order = data.draw(st.permutations(range(nvars)))
+    rel_order = data.draw(st.permutations(range(nrels)))
+    permuted = dict(doc, variables=[doc["variables"][i] for i in var_order],
+                    relators=[doc["relators"][i] for i in rel_order])
+    assert invariants(permuted) == invariants(doc)

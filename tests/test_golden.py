@@ -1,4 +1,4 @@
-"""Byte-identity of the model route's stdout against recorded hashes.
+"""Byte-identity of the resolution routes' stdout against recorded hashes.
 
 ``golden_stdout.json`` maps each command line below to the SHA-256 of its
 stdout and its exit code.  A change that is meant to leave every printed
@@ -17,7 +17,7 @@ from contextlib import redirect_stdout
 
 from tatelab.cli import main
 
-from conftest import CATALOG, NONUNIT_Q, SINGLE_INSTANCES
+from conftest import CATALOG, NONUNIT_Q, SINGLE_INSTANCES, TOWER_INSTANCES
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_stdout.json")
 
@@ -29,6 +29,14 @@ def jobs():
         for route in ("acyclic-closure", "minimal-model"):
             yield name, ["model-print", "--route", route]
         yield name, ["deviations", "--route", "minimal-model", "--N", "7"]
+    # divided powers of exponent >= 2 in characteristic p
+    for name in ("m2zero_f5", "cidiag_f2"):
+        yield name, ["model-print", "--route", "acyclic-closure", "--N", "8"]
+    # towers over a quotient base, where words reduce modulo its relators
+    for name in TOWER_INSTANCES:
+        for kind in ("jacobi-zariski", "ci-vanishing"):
+            for fmt in ("json", "table"):
+                yield name, ["audit", kind, "--format", fmt]
 
 
 def run_all(tmpdir):
@@ -41,7 +49,8 @@ def run_all(tmpdir):
         path = nonunit if name == "nonunit_q" else os.path.join(CATALOG, name + ".json")
         buf = io.StringIO()
         with redirect_stdout(buf):
-            code = main(argv + ["--input", path, "--format", "json"])
+            fmt = [] if "--format" in argv else ["--format", "json"]
+            code = main(argv + ["--input", path] + fmt)
         key = " ".join(argv + [name])
         out[key] = {"sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest(),
                     "exit": code}

@@ -1,5 +1,6 @@
 """Koszul complexes, homology dimensions, and staged tower construction."""
 
+import random
 import sys
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ import pytest
 
 import tatelab
 from tatelab import linalg, resolution
-from tatelab.extensions import POLYNOMIAL, Element
+from tatelab.audits import build_layer_chain
+from tatelab.extensions import DIVIDED, POLYNOMIAL, Element
 from tatelab.fields import PrimeField, QQ
 from tatelab.presentations import Presentation, parse_presentation
 from tatelab.resolution import (ResolutionError, build_acyclic_closure,
@@ -15,7 +17,7 @@ from tatelab.resolution import (ResolutionError, build_acyclic_closure,
                                 koszul_complex, koszul_on_minimal_generators,
                                 minimal_generators)
 
-from conftest import NONUNIT_Q, homology_dim, load_pres
+from conftest import NONUNIT_Q, homology_dim, load_doc, load_pres
 
 
 def P(relators, variables=(("x", 1), ("y", 1)), field=QQ, base_relators=None):
@@ -282,18 +284,91 @@ def leibniz_by_products(t, word):
     return out
 
 
+# m2zero_f5 and cidiag_f2 reach divided powers v^(e), e >= 2, in
+# characteristic p; nonunit_q has non-unit coefficients; xz_over_jz_q is a
+# model over a declared quotient base, where m * d(X) reduces for real
+DIFFERENTIAL_RINGS = LONGHAND + ["m2zero_f5", "cidiag_f2", "nonunit_q",
+                                 "xz_over_jz_q"]
+
+
+def _pres(name):
+    if name == "nonunit_q":
+        return parse_presentation(NONUNIT_Q)
+    if name == "xz_over_jz_q":
+        layers = load_doc("tower_jz_q")["tower"]
+        base = build_layer_chain(layers)[1]
+        doc = dict(layers[2], relators=layers[1]["relators"] + ["x*z"])
+        return Presentation.from_json(doc, base=base)
+    return load_pres(name)
+
+
+def _all_words(t, N, D):
+    return [w for n in range(N + 2) for d in range(D + 1) for w in t.piece(n, d)]
+
+
 @pytest.mark.parametrize("build", TOWER_KINDS, ids=lambda b: b.__name__)
-@pytest.mark.parametrize("name", LONGHAND)
+@pytest.mark.parametrize("name", DIFFERENTIAL_RINGS)
 def test_word_differential_matches_element_products(name, build):
-    t = build(load_pres(name), 5, 10)
-    checked = 0
-    for n in range(6):
-        for d in range(11):
-            for w in t.piece(n, d):
-                assert t.word_differential(w) == leibniz_by_products(t, w), \
-                    t.word_str(w)
-                checked += 1
-    assert checked > 50
+    t = build(_pres(name), 5, 10)
+    words = _all_words(t, 5, 10)
+    for w in words:
+        assert t.word_differential(w) == leibniz_by_products(t, w), t.word_str(w)
+    assert len(words) > 50
+
+
+@pytest.mark.parametrize("build", TOWER_KINDS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize("name", ["m2zero_f5", "xsq_xy_q", "xz_over_jz_q"])
+def test_word_differential_from_a_cold_cache(name, build):
+    # from an empty cache in shuffled order, a word may come before its
+    # prefixes and its pure form
+    t = build(_pres(name), 5, 10)
+    words = _all_words(t, 5, 10)
+    random.Random(20261018).shuffle(words)
+    t._dwords.clear()
+    for w in words:
+        assert t.word_differential(w) == leibniz_by_products(t, w), t.word_str(w)
+
+
+def test_oracle_rings_reach_what_the_shortcuts_skip():
+    # the oracle rings exercise divided powers e >= 2 in characteristic p,
+    # polynomial squares over Q and shifts that reduce over a quotient base
+    def powers(t, flavor):
+        return any(e >= 2 and t.variables[i].flavor == flavor
+                   for _, ext in _all_words(t, 5, 10) for i, e in ext)
+
+    assert powers(build_acyclic_closure(_pres("m2zero_f5"), 5, 10), DIVIDED)
+    assert powers(build_acyclic_closure(_pres("cidiag_f2"), 5, 10), DIVIDED)
+    t = build_minimal_model(_pres("xz_over_jz_q"), 5, 10)
+    assert t.ground.relators and powers(t, POLYNOMIAL)
+    unit = (0,) * len(t.ground.names)
+    assert any(len(t.word_differential(w).terms)
+               < len(t.word_differential((unit, w[1])).terms)
+               for w in _all_words(t, 5, 10) if w[1] and any(w[0]))
+
+
+@pytest.mark.parametrize("build, name, N", [(build_minimal_model, "m2zero_q", 7),
+                                            (build_acyclic_closure, "m2zero_f2", 10)],
+                         ids=["model-m2zero_q", "closure-m2zero_f2"])
+def test_one_word_product_per_term_of_the_last_differential(monkeypatch, build, name, N):
+    # a word m * X shifts d(1 * X) and a pure word a * v^e extends d(a), so
+    # the only word products are a * w for the terms w of d(v)
+    D = 12
+    t = build(load_pres(name), N, D)
+    t._dwords.clear()
+    calls = []
+    mul_words = t._mul_words
+
+    def counting(w1, w2):
+        calls.append(w1)
+        return mul_words(w1, w2)
+
+    monkeypatch.setattr(t, "_mul_words", counting)
+    for n in range(1, N + 2):
+        for d in range(D + 1):
+            t.matrix(n, d)
+    pure = [ext for mono, ext in t._dwords if ext and not any(mono)]
+    assert len(calls) == sum(len(t.variables[ext[-1][0]].dval.terms) for ext in pure)
+    assert len(pure) > 100
 
 
 def _rank(rows, field):
@@ -399,10 +474,6 @@ def full_coordinate_generators(tower, q, D):
 
 
 SELECTION_RINGS = ["m2zero_f2", "m2zero_q", "xsq_xy_q", "hyp_weighted_q", "nonunit_q"]
-
-
-def _pres(name):
-    return parse_presentation(NONUNIT_Q) if name == "nonunit_q" else load_pres(name)
 
 
 @pytest.mark.parametrize("build", TOWER_KINDS, ids=lambda b: b.__name__)
