@@ -29,6 +29,7 @@ Words are pairs (mono, ext) with mono a standard ground monomial and ext
 a tuple of (variable index, exponent) pairs sorted by index.
 """
 
+from bisect import bisect_right
 from math import comb
 from operator import add
 
@@ -337,26 +338,24 @@ class ExtensionTower:
         if key in self._cache:
             return self._cache[key]
         words = []
-        nvars = len(self.variables)
+        variables = self.variables
+        hdegs = [v.hdeg for v in variables]
 
         def rec(i, h, dd, acc):
             if h == 0:
                 for mono in self.ground.quotient_basis(dd).monomials:
                     words.append((mono, tuple(acc)))
                 return
-            # variables come in weakly increasing hdeg: none from i on fits
-            if i == nvars or self.variables[i].hdeg > h:
-                return
-            v = self.variables[i]
-            cap = h // v.hdeg
-            if v.flavor == EXTERIOR:
-                cap = min(cap, 1)
-            cap = min(cap, dd // v.ideg)
-            rec(i + 1, h, dd, acc)
-            for e in range(1, cap + 1):
-                acc.append((i, e))
-                rec(i + 1, h - e * v.hdeg, dd - e * v.ideg, acc)
-                acc.pop()
+            # the next factor is v_j^e for some j >= i with hdeg <= h (hdeg
+            # weakly increases); words that skip v_j come before words that
+            # use it, so j runs down, and the depth is the factor count
+            for j in range(bisect_right(hdegs, h) - 1, i - 1, -1):
+                v = variables[j]
+                cap = 1 if v.flavor == EXTERIOR else h // v.hdeg
+                for e in range(1, min(cap, dd // v.ideg) + 1):
+                    acc.append((j, e))
+                    rec(j + 1, h - e * v.hdeg, dd - e * v.ideg, acc)
+                    acc.pop()
 
         rec(0, n, d, [])
         words = tuple(words)

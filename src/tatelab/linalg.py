@@ -11,7 +11,14 @@ no Fraction is built during elimination, and ``rref``'s lead-1 rows hold
 one only where the lead does not divide an entry.  A row form vector is
 a nonzero scalar multiple of the field vector it stands for, so every
 lead index and rank is the one plain field arithmetic would give.
+
+A kernel takes one forward elimination of the matrix's rows and no
+reduced echelon form: ``Kernel.vector`` back-solves the canonical kernel
+vector of one free column on demand, so a caller that needs only a few
+of them pays for only those.
 """
+
+from bisect import bisect
 
 
 class Echelon:
@@ -74,23 +81,47 @@ def transpose(cols, nrows):
     return [rows.get(i, {}) for i in range(nrows)]
 
 
-def solve_cols(cols, nrows, field):
-    """Canonical kernel basis of a matrix, from one elimination of its rows.
+class Kernel:
+    """Kernel of a matrix (sparse columns, row count), from one forward
+    elimination of its rows.
 
-    One vector per non-pivot column f of the reduced row echelon form: 1 at
-    f and the negated reduced entries of column f at the pivots.  Returns a
-    list, ascending by f.
+    ``free`` lists the non-pivot columns ascending; each has one canonical
+    kernel vector, 1 at it and 0 at the other free columns, which
+    ``vector`` solves when asked.
     """
-    pivots, red = rref(transpose(cols, nrows), field)
-    pivset = set(pivots)
-    kernel = []
-    for f in range(len(cols)):
-        if f in pivset:
-            continue
+
+    def __init__(self, cols, nrows, field):
+        ech = Echelon(field)
+        for row in transpose(cols, nrows):
+            ech.add(row)
+        self.field = field
+        self.rows = ech.rows
+        self.pivots = sorted(ech.rows)
+        self.free = [f for f in range(len(cols)) if f not in ech.rows]
+
+    def vector(self, f):
+        """Canonical kernel vector of free column f.
+
+        A pivot row has support at its lead and above, so a pivot above f
+        is 0 and the pivots below f are back-solved, highest first, each
+        from its own row: O(nnz) of the rows below f.
+        """
+        field = self.field
         v = {f: field.one}
-        for p in pivots:
-            c = red[p].get(f)
-            if c is not None:
-                v[p] = field.neg(c)
-        kernel.append(v)
-    return kernel
+        for p in reversed(self.pivots[:bisect(self.pivots, f)]):
+            row = self.rows[p]
+            s = field.zero
+            for k, c in row.items():
+                x = v.get(k)
+                if x is not None:
+                    s = field.add(s, field.mul(c, x))
+            if not field.is_zero(s):
+                v[p] = field.neg(field.mul(s, field.inv(row[p])))
+        return v
+
+
+def solve_cols(cols, nrows, field):
+    """Canonical kernel basis of a matrix: one vector per free column of
+    its ``Kernel``, ascending by that column."""
+    k = Kernel(cols, nrows, field)
+    return [k.vector(f) for f in k.free]

@@ -16,6 +16,7 @@ cached idempotently, so instances are safe for concurrent read-only use.
 """
 
 import re
+from operator import add
 
 from .fields import field_from_spec
 
@@ -408,7 +409,8 @@ class Presentation:
 
         s runs over the standard monomials of degree d - deg(g); generators
         of degree > d contribute nothing.  The rows span the degree-d part
-        of the ideal the gens generate.
+        of the ideal the gens generate.  s*g is the normal form of g with
+        its monomials shifted by s.
         """
         rows = []
         for g in gens:
@@ -416,7 +418,7 @@ class Presentation:
             if e > d:
                 continue
             for s in self.quotient_basis(d - e).monomials:
-                prod = self.multiply({s: self.field.one}, g)
+                prod = self.normal_form({tuple(map(add, s, m)): c for m, c in g.items()})
                 if prod:
                     rows.append(self.coords(prod, d))
         return rows

@@ -10,10 +10,11 @@ ascending by internal degree, a new generator is anything outside
 boundaries + ground-monomial multiples of the generators found in lower
 degrees), and adjoins one variable per generator with that cycle as
 differential value.  Boundaries are the columns of d_n as they stand, so a
-stage eliminates one differential, d_{n-1}, per internal degree, and a
-degree with no cycles costs that elimination alone.  Boundaries and
-multiples are reduced only in the free coordinates of the kernel of
-d_{n-1}, which fix a cycle, and only until they span all of them.
+stage eliminates one differential, d_{n-1}, per internal degree, forward
+only, and a degree with no cycles costs that elimination alone.
+Boundaries and multiples are reduced only in the free coordinates of the
+kernel of d_{n-1}, which fix a cycle, and only until they span all of
+them; kernel vectors are solved only for the new generators.
 
 All reported counts are certified only through the internal-degree
 bound D: homology generators of internal degree > D are invisible.
@@ -92,19 +93,20 @@ def minimal_generators(tower, q, D):
     reduced in free coordinates alone, with leads at the highest free
     column, and the kernel vectors kept are those whose free column is not
     a lead: the same cycles, in the same order, that a greedy complement of
-    ascending kernel vectors on full coordinates picks.  A degree without
-    cycles reads no boundaries, and reduction stops once the span fills
-    every free coordinate.
+    ascending kernel vectors on full coordinates picks.  d_q is eliminated
+    forward once, and kernel vectors are solved only for the new
+    generators.  A degree without cycles reads no boundaries, and
+    reduction stops once the span fills every free coordinate.
     """
     ground, one = tower.ground, tower.field.one
     gens = []
     for d in range(0, D + 1):
-        kernel = tower.solved(q, d)
-        if not kernel:
+        kernel = linalg.Kernel(*tower.matrix(q, d), tower.field)
+        if not kernel.free:
             continue
-        # free column of the i-th kernel vector -> position, highest first
-        nfree = len(kernel)
-        pos = {max(z): nfree - 1 - i for i, z in enumerate(kernel)}
+        # free column -> position, highest first
+        nfree = len(kernel.free)
+        pos = {f: nfree - 1 - i for i, f in enumerate(kernel.free)}
         sub = linalg.Echelon(tower.field)
         multiples = (tower.coords(tower.ground_element({s: one}) * g, q, d)
                      for e, g in gens for s in ground.quotient_basis(d - e).monomials)
@@ -112,8 +114,8 @@ def minimal_generators(tower, q, D):
             sub.add({pos[k]: c for k, c in v.items() if k in pos})
             if len(sub.rows) == nfree:
                 break
-        gens += [(d, tower.element(z, q, d)) for i, z in enumerate(kernel)
-                 if nfree - 1 - i not in sub.rows]
+        gens += [(d, tower.element(kernel.vector(f), q, d)) for f in kernel.free
+                 if pos[f] not in sub.rows]
     return gens
 
 

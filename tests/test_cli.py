@@ -462,6 +462,31 @@ def test_traced_job_matches_untraced_cli(tmp_path):
     assert calls["resolution.kernel_generators"] == 1
 
 
+@pytest.mark.parametrize("argv, spans", [
+    (["ci-check", "--input", cat("hyp_q")], ["resolution.build"]),
+    (["deviations", "--route", "minimal-model", "--N", "4", "--input",
+      cat("m2zero_q")],
+     ["resolution.minimal_generators", "extensions.matrix", "linalg.echelon_add"]),
+], ids=["ci-check-hyp_q", "model-m2zero_q"])
+def test_traced_job_layer_self_times_add_up(tmp_path, argv, spans):
+    # the benchmark's traced run needs every name it wraps, the same stdout
+    # as the untraced run and self times that sum to the traced wall time
+    root = os.path.dirname(CATALOG)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")]))
+    trace = tmp_path / "trace.json"
+    plain = subprocess.run([sys.executable, "-m", "tatelab"] + argv,
+                           capture_output=True, env=env, cwd=root)
+    traced = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "traced_job.py"),
+         str(trace)] + argv, capture_output=True, env=env, cwd=root)
+    assert plain.returncode == traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    doc = json.loads(trace.read_text())
+    assert abs(sum(doc["self_s"].values()) - doc["wall_s"]) <= 0.05 * doc["wall_s"]
+    assert all(doc["calls"].get(name, 0) > 0 for name in spans), doc["calls"]
+
+
 def test_setup_probe_parses_the_catalog():
     # perfbench/setup_probe.py times parse_presentation and
     # build_layer_chain on every instance and must import this checkout

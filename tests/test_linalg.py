@@ -7,12 +7,13 @@ computed with Fraction arithmetic — same math, different code path.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import oracles
 from tatelab.fields import PrimeField, QQ
-from tatelab.linalg import Echelon, rref, solve_cols
+from tatelab.linalg import Echelon, Kernel, rref, solve_cols
 
 
 def to_dense(v, n):
@@ -93,6 +94,69 @@ def test_solve_cols_zero_map():
     cols = [{}, {}]
     kernel = solve_cols(cols, 2, QQ)
     assert [to_dense(v, 2) for v in kernel] == [[1, 0], [0, 1]]
+
+
+def _random_sparse_cols(rng, fld):
+    """Sparse columns, some of them zero, with small entries and, over Q,
+    non-integral ones."""
+    nrows, ncols = rng.randrange(0, 7), rng.randrange(1, 8)
+    density = rng.choice((0.0, 0.2, 0.5, 0.9))
+    entries = [2, 3, -2, 5, 1, -1, 4] + ([Fraction(3, 2), Fraction(-5, 3)]
+                                         if fld is QQ else [])
+    cols = []
+    for _ in range(ncols):
+        col = {}
+        if rng.random() > 0.2:
+            for i in range(nrows):
+                c = rng.choice(entries)
+                c = c if fld is QQ else fld.from_int(c)
+                if rng.random() < density and not fld.is_zero(c):
+                    col[i] = c
+        cols.append(col)
+    return cols, nrows
+
+
+def _full_rank_cols(rng, fld, n):
+    """Upper triangular n x n with a non-unit diagonal where the field has
+    one: full column rank."""
+    diag = fld.from_int(2 if fld is QQ or fld.p != 2 else 1)
+    cols = []
+    for j in range(n):
+        above = {i: fld.from_int(rng.randrange(1, 4)) for i in range(j)
+                 if rng.random() < 0.5}
+        cols.append({i: c for i, c in above.items() if not fld.is_zero(c)})
+        cols[-1][j] = diag
+    return cols, n
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)],
+                         ids=repr)
+def test_kernel_vectors_match_oracle(fld):
+    # every free column's vector is the oracle's null space vector for it,
+    # and over Q every scalar is canonical: an int when integral, else a
+    # Fraction with denominator > 1
+    rng = random.Random(20261018)
+    ofld = oracles.OField(None if fld is QQ else fld.p)
+    zero, full = ([{}, {}, {}], 2), _full_rank_cols(rng, fld, 5)
+    assert Kernel(*zero, fld).free == [0, 1, 2]
+    assert Kernel(*full, fld).free == []
+    cases = [zero, ([{}, {}], 0), full,
+             ([{0: c} if c else {} for c in map(fld.from_int, (2, 3, 0))], 1)]
+    cases += [_random_sparse_cols(rng, fld) for _ in range(60)]
+    fractions = 0
+    for cols, nrows in cases:
+        k = Kernel(cols, nrows, fld)
+        rows = [[ofld.of(col.get(i, 0)) for col in cols] for i in range(nrows)]
+        want = oracles.kernel_basis(rows, len(cols), ofld)
+        got = [k.vector(f) for f in k.free]
+        assert [to_dense(v, len(cols)) for v in got] == want, (cols, nrows)
+        assert solve_cols(cols, nrows, fld) == got
+        for v in got:
+            assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+                       for c in v.values())
+            fractions += any(type(c) is Fraction for c in v.values())
+    if fld is QQ:
+        assert fractions > 0
 
 
 def _dense_rank(rows, fld):

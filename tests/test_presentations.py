@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from tatelab.audits import build_layer_chain
 from tatelab.fields import PrimeField, QQ
 from tatelab.presentations import (Presentation, PresentationError,
                                    parse_polynomial, parse_presentation)
+
+from conftest import SINGLE_INSTANCES, TOWER_INSTANCES, load_doc
 
 VARS_XY = [("x", 1), ("y", 1)]
 
@@ -134,6 +137,42 @@ def test_multiply_in_quotient():
     x = p.from_int_poly(parse_polynomial("x", ("x", "y")))
     prod = p.multiply(x, x)
     assert prod == {(0, 2): Fraction(1)}
+
+
+def _catalog_presentations():
+    """Every catalog presentation, tower layers included: tower_jz_q's top
+    layer sits over the quotient base k[x,y,z]/(x,y)^2."""
+    for name in SINGLE_INSTANCES + TOWER_INSTANCES:
+        doc = load_doc(name)
+        yield from (build_layer_chain(doc["tower"]) if "tower" in doc
+                    else [parse_presentation(doc)])
+
+
+def test_ideal_span_rows_are_the_multiply_rows():
+    # in the presentation, its free base and the polynomial ring, the
+    # shifted, once-reduced rows equal the multiply({s: 1}, g) rows, entry
+    # order included; the gens are the relators and a degree-2 element
+    # with distinct coefficients, reduced in the ring
+    shortened = 0
+    for pres in _catalog_presentations():
+        for ring in (pres, pres.free_base(), pres.polynomial_ring()):
+            gens = [ring.from_int_poly(f) for f in pres.relators]
+            gens.append(ring.from_int_poly({m: k + 2 for k, m in
+                                            enumerate(ring.monomials(2))}))
+            gens = [g for g in gens if g]
+            for d in range(8):
+                want = []
+                for g in gens:
+                    e = ring.degree_of(next(iter(g)))
+                    for s in ring.quotient_basis(d - e).monomials if e <= d else ():
+                        prod = ring.multiply({s: ring.field.one}, g)
+                        shortened += len(prod) < len(g)
+                        if prod:
+                            want.append(ring.coords(prod, d))
+                got = ring.ideal_span(gens, d)
+                assert [list(r.items()) for r in got] == \
+                    [list(r.items()) for r in want], (pres, ring, d)
+    assert shortened > 0
 
 
 def test_coords_roundtrip():

@@ -1,7 +1,6 @@
 """Koszul complexes, homology dimensions, and staged tower construction."""
 
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -409,33 +408,55 @@ GUARDED = [(build_minimal_model, "m2zero_q"), (build_acyclic_closure, "m2zero_f2
 
 
 @pytest.fixture
-def solve_calls(monkeypatch):
-    """Calls of linalg.solve_cols, counted under every name a tatelab module
-    holds for it."""
-    calls = []
-    orig = linalg.solve_cols
+def kernel_calls(monkeypatch):
+    """Forward eliminations (Kernel constructions), the free columns they
+    found and the kernel vectors solved from them."""
+    calls = {"eliminations": 0, "free": 0, "vectors": 0}
+    init, vector = linalg.Kernel.__init__, linalg.Kernel.vector
 
-    def counting(*args):
-        calls.append(args)
-        return orig(*args)
+    def counting_init(self, *args):
+        init(self, *args)
+        calls["eliminations"] += 1
+        calls["free"] += len(self.free)
 
-    for mod in list(sys.modules.values()):
-        if getattr(mod, "__name__", "").split(".")[0] != "tatelab":
-            continue
-        for key, value in list(vars(mod).items()):
-            if value is orig:
-                monkeypatch.setattr(mod, key, counting)
+    def counting_vector(self, f):
+        calls["vectors"] += 1
+        return vector(self, f)
+
+    monkeypatch.setattr(linalg.Kernel, "__init__", counting_init)
+    monkeypatch.setattr(linalg.Kernel, "vector", counting_vector)
     return calls
 
 
 @pytest.mark.parametrize("build, name", GUARDED,
                          ids=lambda x: getattr(x, "__name__", x))
-def test_one_solve_per_stage_and_degree(solve_calls, build, name):
+def test_one_solve_per_stage_and_degree(kernel_calls, build, name):
     # stages 2..N each eliminate the differential out of (q, d) once per d;
     # the boundaries are read off the next matrix's columns unsolved
     N, D = 5, 10
     build(load_pres(name), N, D)
-    assert len(solve_calls) == (N - 1) * (D + 1)
+    assert kernel_calls["eliminations"] == (N - 1) * (D + 1)
+
+
+@pytest.mark.parametrize("build, name", GUARDED,
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_kernel_vectors_solved_only_for_new_generators(monkeypatch, kernel_calls,
+                                                       build, name):
+    # each stage solves one kernel vector per generator it picks, out of
+    # many more free columns
+    per_stage = []
+
+    def counted(tower, q, bound):
+        before = kernel_calls["vectors"]
+        gens = minimal_generators(tower, q, bound)
+        per_stage.append((kernel_calls["vectors"] - before, len(gens)))
+        return gens
+
+    monkeypatch.setattr(resolution, "minimal_generators", counted)
+    build(load_pres(name), 5, 10)
+    assert len(per_stage) == 4
+    assert all(solved == picked for solved, picked in per_stage), per_stage
+    assert 0 < kernel_calls["vectors"] < kernel_calls["free"]
 
 
 @pytest.mark.parametrize("build, name", GUARDED,
