@@ -16,10 +16,10 @@ from .extensions import Element, ExtensionTower, TowerError
 from .fields import FieldError, PrimeField, QQ, Rationals, field_from_spec
 from .invariants import (AqRankTable, BettiTable, CiVerdict, DeviationTable,
                          InsufficientCertification, aq_ranks, betti_numbers,
-                         characteristic_window, ci_check, d2_rank_via_koszul,
-                         deviations, poincare_from_deviations)
-from .presentations import (GradedPiece, Presentation, PresentationError,
-                            parse_polynomial, parse_presentation)
+                         characteristic_window, ci_check, deviations,
+                         poincare_from_deviations)
+from .presentations import (Presentation, PresentationError, parse_polynomial,
+                            parse_presentation)
 from .resolution import (ResolutionError, build_acyclic_closure,
                          build_minimal_model, kernel_generators,
                          koszul_complex, koszul_on_minimal_generators,
@@ -30,11 +30,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AqRankTable", "AuditError", "AuditReport", "BettiTable", "CiVerdict",
     "DeviationTable", "Element", "ExtensionTower", "FieldError",
-    "GradedPiece", "InsufficientCertification", "Presentation",
+    "InsufficientCertification", "Presentation",
     "PresentationError", "PrimeField", "QQ", "Rationals", "ResolutionError",
     "TowerError", "aq_ranks", "betti_numbers", "build_acyclic_closure",
     "build_layer_chain", "build_minimal_model", "characteristic_window",
-    "ci_check", "ci_vanishing_audit", "d2_rank_via_koszul", "deviations",
+    "ci_check", "ci_vanishing_audit", "deviations",
     "field_from_spec", "growth_probe", "jacobi_zariski_audit",
     "kernel_generators", "koszul_complex", "koszul_on_minimal_generators",
     "minimal_generators",

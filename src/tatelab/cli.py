@@ -20,8 +20,8 @@ import sys
 
 from .audits import (AuditError, build_layer_chain, ci_vanishing_audit,
                      growth_probe, jacobi_zariski_audit, rigidity_audit)
-from .invariants import (aq_ranks, betti_numbers, ci_check, d2_rank_via_koszul,
-                         deviations, poincare_from_deviations)
+from .invariants import (aq_ranks, betti_numbers, ci_check, deviations,
+                         poincare_from_deviations)
 from .presentations import parse_presentation
 from .resolution import build_acyclic_closure, build_minimal_model
 
@@ -115,7 +115,9 @@ def _cmd_poincare(args):
 
 def _cmd_koszul_h1(args):
     pres = parse_presentation(_load(args.input))
-    mu = d2_rank_via_koszul(pres, args.D)
+    # stage 1 of the minimal model is the Koszul complex on minimal
+    # generators of the kernel, so mu(H_1) is the stage-2 count, eps_3
+    mu = deviations(pres, 3, args.D, "minimal-model")[3]
     if args.format == "json":
         _emit_json({"koszul_h1_mu": mu, "certified_D": args.D})
     else:

@@ -18,6 +18,9 @@ Conventions fixed once and for all:
     it is ground-linear, so a word's differential comes from a shorter
     word's: d(m*X) = m*d(X) for a ground monomial m, and
     d(a*v^e) = d(a)*v^e + (-1)^{|a|} a*d(v^e) for the last factor v^e;
+  * a ground monomial s times an element shifts each word's monomial by s
+    and reduces it in the ground ring (``times_monomial``), the one shift
+    that both d(m*X) and the generator multiples of the builders use;
   * a word is a canonical product  (base monomial) * v1^{e1} * v2^{e2} ...
     with the variables in adjunction order; reordering while multiplying
     picks up the usual Koszul sign, one -1 per odd-odd transposition;
@@ -34,6 +37,7 @@ from math import comb
 from operator import add
 
 from . import linalg
+from .presentations import join_terms
 
 
 class TowerError(ValueError):
@@ -87,15 +91,8 @@ class Element:
 
     def __add__(self, other):
         self._check(other)
-        f = self.tower.field
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = f.add(out.get(w, f.zero), c)
-            if f.is_zero(s):
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return Element(self.tower, out)
+        return Element(self.tower, linalg.add_into(dict(self.terms), other.terms.items(),
+                                                   self.tower.field))
 
     def __neg__(self):
         f = self.tower.field
@@ -114,24 +111,16 @@ class Element:
         self._check(other)
         t = self.tower
         f = t.field
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                c = f.mul(c1, c2)
-                for w, x in t._mul_words(w1, w2):
-                    s = f.add(out.get(w, f.zero), f.mul(c, x))
-                    if f.is_zero(s):
-                        out.pop(w, None)
-                    else:
-                        out[w] = s
-        return Element(t, out)
+        terms = ((w, f.mul(f.mul(c1, c2), x)) for w1, c1 in self.terms.items()
+                 for w2, c2 in other.terms.items() for w, x in t._mul_words(w1, w2))
+        return Element(t, linalg.add_into({}, terms, f))
 
     def differential(self):
         t = self.tower
-        out = Element.zero(t)
-        for w, c in self.terms.items():
-            out = out + t.word_differential(w).scale(c)
-        return out
+        f = t.field
+        terms = ((w, f.mul(c, x)) for v, c in self.terms.items()
+                 for w, x in t.word_differential(v).terms.items())
+        return Element(t, linalg.add_into({}, terms, f))
 
     def bidegree(self):
         """(homological, internal) bidegree; None for zero, error if mixed."""
@@ -217,6 +206,14 @@ class ExtensionTower:
         """Reduced ground element {mono: scalar} -> degree-zero tower element."""
         return Element(self, {(m, ()): c for m, c in elem.items()})
 
+    def times_monomial(self, elem, s):
+        """s * elem for a ground monomial s: each word's monomial times s,
+        reduced in the ground ring."""
+        f, reduce = self.field, self.ground.reduce_monomial
+        terms = (((sm, x), f.mul(c, r)) for (m, x), c in elem.terms.items()
+                 for sm, r in reduce(tuple(map(add, s, m))).items())
+        return Element(self, linalg.add_into({}, terms, f))
+
     # -- word structure ---------------------------------------------------
 
     def word_bidegree(self, word):
@@ -295,10 +292,8 @@ class ExtensionTower:
             return Element.zero(self)
         f = self.field
         if any(mono):
-            out, reduce = {}, self.ground.reduce_monomial
-            terms = (((sm, x), f.mul(c, r)) for (m, x), c
-                     in self.word_differential(((0,) * len(mono), ext)).terms.items()
-                     for sm, r in reduce(tuple(map(add, mono, m))).items())
+            result = self.times_monomial(self.word_differential(((0,) * len(mono), ext)),
+                                         mono)
         else:
             left, (idx, e) = ext[:-1], ext[-1]
             v = self.variables[idx]
@@ -311,13 +306,7 @@ class ExtensionTower:
             terms = (((m, x + rest), f.mul(f.mul(k, c), y))
                      for w, c in v.dval.terms.items()
                      for (m, x), y in self._mul_words((mono, left), w))
-        for w, c in terms:
-            s = f.add(out.get(w, f.zero), c)
-            if f.is_zero(s):
-                out.pop(w, None)
-            else:
-                out[w] = s
-        result = Element(self, out)
+            result = Element(self, linalg.add_into(out, terms, f))
         self._dwords[word] = result
         return result
 
@@ -343,7 +332,7 @@ class ExtensionTower:
 
         def rec(i, h, dd, acc):
             if h == 0:
-                for mono in self.ground.quotient_basis(dd).monomials:
+                for mono in self.ground.quotient_basis(dd):
                     words.append((mono, tuple(acc)))
                 return
             # the next factor is v_j^e for some j >= i with hdeg <= h (hdeg
@@ -420,29 +409,8 @@ class ExtensionTower:
         return "*".join(parts) if parts else "1"
 
     def element_str(self, elem):
-        if not elem.terms:
-            return "0"
-        f = self.field
-        out = []
-        for word in sorted(elem.terms, key=self._word_sort_key):
-            c = elem.terms[word]
-            cs = f.to_str(c)
-            ws = self.word_str(word)
-            if ws == "1":
-                term = cs
-            elif cs == "1":
-                term = ws
-            elif cs == "-1":
-                term = "-" + ws
-            else:
-                term = "%s*%s" % (cs, ws)
-            if out and not term.startswith("-"):
-                out.append("+ " + term)
-            elif out:
-                out.append("- " + term[1:])
-            else:
-                out.append(term)
-        return " ".join(out)
+        return join_terms((self.field.to_str(elem.terms[w]), self.word_str(w))
+                          for w in sorted(elem.terms, key=self._word_sort_key))
 
     def _word_sort_key(self, word):
         mono, ext = word

@@ -90,15 +90,6 @@ def model_deviations(model, N, D):
                            for n in range(2, N + 1)})
 
 
-def d2_rank_via_koszul(pres, D):
-    """Minimal generator count of H_1 of the Koszul complex on a minimal
-    generating set of the kernel, through internal degree D.  Stage 1 of
-    the minimal model over the free base is that Koszul complex, so this
-    is the number of stage-2 model variables: the rank of the degree-2
-    cotangent homology, which is eps_3."""
-    return len(build_minimal_model(pres, 2, D).variables_of_hdeg(2))
-
-
 class CiVerdict:
     """Three-way complete-intersection verdict with its evidence."""
 

@@ -21,6 +21,19 @@ of them pays for only those.
 from bisect import bisect
 
 
+def add_into(out, terms, field):
+    """Add the (index, scalar) pairs of terms into the sparse vector out, in
+    place, dropping an index whose sum is zero; returns out."""
+    add, is_zero, zero = field.add, field.is_zero, field.zero
+    for k, c in terms:
+        s = add(out.get(k, zero), c)
+        if is_zero(s):
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
 class Echelon:
     """Incremental row-echelon span; rows are kept in the field's row form.
 

@@ -18,6 +18,7 @@ cached idempotently, so instances are safe for concurrent read-only use.
 import re
 from operator import add
 
+from . import linalg
 from .fields import field_from_spec
 
 
@@ -132,21 +133,26 @@ def _monomials(weights, d):
     return out
 
 
-class GradedPiece:
-    """One internal degree of a graded vector space: an ordered monomial basis."""
-
-    __slots__ = ("degree", "monomials")
-
-    def __init__(self, degree, monomials):
-        self.degree = degree
-        self.monomials = tuple(monomials)
-
-    @property
-    def dimension(self):
-        return len(self.monomials)
-
-    def __repr__(self):
-        return "GradedPiece(d=%d, dim=%d)" % (self.degree, len(self.monomials))
+def join_terms(pairs):
+    """'c1*w1 + c2*w2 - ...' from (coefficient string, word string) pairs in
+    order; a coefficient 1 or word 1 is left out, and no pairs give '0'."""
+    out = []
+    for cs, ws in pairs:
+        if ws == "1":
+            term = cs
+        elif cs == "1":
+            term = ws
+        elif cs == "-1":
+            term = "-" + ws
+        else:
+            term = "%s*%s" % (cs, ws)
+        if not out:
+            out.append(term)
+        elif term.startswith("-"):
+            out.append("- " + term[1:])
+        else:
+            out.append("+ " + term)
+    return " ".join(out) if out else "0"
 
 
 class Presentation:
@@ -274,28 +280,8 @@ class Presentation:
 
     def poly_str(self, poly):
         """Deterministic string form of {mono: coeff} (field or int coeffs)."""
-        if not poly:
-            return "0"
-        out = []
-        for mono in sorted(poly, key=lambda m: (self.degree_of(m),) + tuple(-e for e in m)):
-            c = poly[mono]
-            cs = c if isinstance(c, str) else str(c)
-            ms = self.mono_str(mono)
-            if ms == "1":
-                term = cs
-            elif cs == "1":
-                term = ms
-            elif cs == "-1":
-                term = "-" + ms
-            else:
-                term = "%s*%s" % (cs, ms)
-            if out and not term.startswith("-"):
-                out.append("+ " + term)
-            elif out:
-                out.append("- " + term[1:])
-            else:
-                out.append(term)
-        return " ".join(out)
+        order = sorted(poly, key=lambda m: (self.degree_of(m),) + tuple(-e for e in m))
+        return join_terms((str(poly[m]), self.mono_str(m)) for m in order)
 
     # -- per-degree quotient structure ---------------------------------
 
@@ -308,8 +294,6 @@ class Presentation:
         key = ("deg", d)
         if key in self._cache:
             return self._cache[key]
-        from . import linalg
-
         monos = self.monomials(d)
         ring = self.polynomial_ring()
         rows = ring.ideal_span([ring.from_int_poly(f) for f in self.relators], d)
@@ -326,24 +310,24 @@ class Presentation:
         return data
 
     def quotient_basis(self, d):
-        """Standard monomials of degree d as a GradedPiece."""
+        """Standard monomials of degree d, a tuple in descending lex order."""
         key = ("qb", d)
         if key not in self._cache:
             monos = self.monomials(d)
             _, std = self._degree_data(d)
-            self._cache[key] = GradedPiece(d, tuple(monos[i] for i in std))
+            self._cache[key] = tuple(monos[i] for i in std)
         return self._cache[key]
 
     def basis_index(self, d):
         key = ("qbi", d)
         if key not in self._cache:
             self._cache[key] = {m: i for i, m in
-                                enumerate(self.quotient_basis(d).monomials)}
+                                enumerate(self.quotient_basis(d))}
         return self._cache[key]
 
     def hilbert(self, D):
         """Quotient dimensions in internal degrees 0..D."""
-        return [self.quotient_basis(d).dimension for d in range(D + 1)]
+        return [len(self.quotient_basis(d)) for d in range(D + 1)]
 
     def reduce_monomial(self, mono):
         """Normal form of a (not necessarily standard) monomial: {std mono: scalar}."""
@@ -361,15 +345,9 @@ class Presentation:
 
     def normal_form(self, poly):
         """Reduce {mono: field scalar} to standard monomials (any degrees mixed)."""
-        out = {}
-        for mono, c in poly.items():
-            for sm, r in self.reduce_monomial(mono).items():
-                x = self.field.add(out.get(sm, self.field.zero), self.field.mul(c, r))
-                if self.field.is_zero(x):
-                    out.pop(sm, None)
-                else:
-                    out[sm] = x
-        return out
+        f = self.field
+        return linalg.add_into({}, ((sm, f.mul(c, r)) for mono, c in poly.items()
+                                    for sm, r in self.reduce_monomial(mono).items()), f)
 
     def from_int_poly(self, poly):
         """Integer-coefficient polynomial -> reduced quotient element."""
@@ -377,18 +355,10 @@ class Presentation:
 
     def multiply(self, a, b):
         """Product of two reduced quotient elements, reduced again."""
-        out = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                c = self.field.mul(c1, c2)
-                prod = tuple(x + y for x, y in zip(m1, m2))
-                for sm, r in self.reduce_monomial(prod).items():
-                    x = self.field.add(out.get(sm, self.field.zero), self.field.mul(c, r))
-                    if self.field.is_zero(x):
-                        out.pop(sm, None)
-                    else:
-                        out[sm] = x
-        return out
+        f = self.field
+        return self.normal_form(linalg.add_into(
+            {}, ((tuple(map(add, m1, m2)), f.mul(c1, c2))
+                 for m1, c1 in a.items() for m2, c2 in b.items()), f))
 
     def coords(self, elem, d):
         """Sparse coordinates of a reduced degree-d element in the quotient basis."""
@@ -401,7 +371,7 @@ class Presentation:
         return out
 
     def element(self, coords, d):
-        basis = self.quotient_basis(d).monomials
+        basis = self.quotient_basis(d)
         return {basis[i]: c for i, c in coords.items()}
 
     def ideal_span(self, gens, d):
@@ -417,7 +387,7 @@ class Presentation:
             e = self.degree_of(next(iter(g)))
             if e > d:
                 continue
-            for s in self.quotient_basis(d - e).monomials:
+            for s in self.quotient_basis(d - e):
                 prod = self.normal_form({tuple(map(add, s, m)): c for m, c in g.items()})
                 if prod:
                     rows.append(self.coords(prod, d))

@@ -98,7 +98,7 @@ def minimal_generators(tower, q, D):
     generators.  A degree without cycles reads no boundaries, and
     reduction stops once the span fills every free coordinate.
     """
-    ground, one = tower.ground, tower.field.one
+    ground = tower.ground
     gens = []
     for d in range(0, D + 1):
         kernel = linalg.Kernel(*tower.matrix(q, d), tower.field)
@@ -108,8 +108,8 @@ def minimal_generators(tower, q, D):
         nfree = len(kernel.free)
         pos = {f: nfree - 1 - i for i, f in enumerate(kernel.free)}
         sub = linalg.Echelon(tower.field)
-        multiples = (tower.coords(tower.ground_element({s: one}) * g, q, d)
-                     for e, g in gens for s in ground.quotient_basis(d - e).monomials)
+        multiples = (tower.coords(tower.times_monomial(g, s), q, d)
+                     for e, g in gens for s in ground.quotient_basis(d - e))
         for v in chain(tower.matrix(q + 1, d)[0], multiples):
             sub.add({pos[k]: c for k, c in v.items() if k in pos})
             if len(sub.rows) == nfree:
@@ -119,6 +119,22 @@ def minimal_generators(tower, q, D):
     return gens
 
 
+def _build_stages(ground, flavor, prefix, stage1, N, D):
+    """Tower over ground through stage N and internal degree D, variables
+    named prefix{n}_{i}: stage 1 kills the reduced ground elements of
+    stage1, [(degree, element)], and stage n kills minimal generators of
+    H_{n-1}."""
+    if N < 1:
+        raise ResolutionError("stage bound must be >= 1")
+    tower = ExtensionTower(ground, flavor, nmax=N, dmax=D)
+    for i, (d, g) in enumerate(stage1):
+        tower.adjoin("%s1_%d" % (prefix, i + 1), 1, d, tower.ground_element(g))
+    for n in range(2, N + 1):
+        for i, (d, z) in enumerate(minimal_generators(tower, n - 1, D)):
+            tower.adjoin("%s%d_%d" % (prefix, n, i + 1), n, d, z)
+    return tower
+
+
 def build_minimal_model(pres, N, D):
     """Minimal model of pres.free_base() ->> pres through stage N, degree D.
 
@@ -126,16 +142,7 @@ def build_minimal_model(pres, N, D):
     set of the kernel ideal; stage n kills minimal generators of H_{n-1}.
     The differential is decomposable by construction.
     """
-    if N < 1:
-        raise ResolutionError("stage bound must be >= 1")
-    tower = ExtensionTower(pres.free_base(), "plain", nmax=N, dmax=D)
-    for i, (d, g) in enumerate(kernel_generators(pres)):
-        tower.adjoin("y1_%d" % (i + 1), 1, d, tower.ground_element(g))
-    for n in range(2, N + 1):
-        gens = minimal_generators(tower, n - 1, D)
-        for i, (d, z) in enumerate(gens):
-            tower.adjoin("y%d_%d" % (n, i + 1), n, d, z)
-    return tower
+    return _build_stages(pres.free_base(), "plain", "y", kernel_generators(pres), N, D)
 
 
 def build_acyclic_closure(pres, N, D):
@@ -146,15 +153,7 @@ def build_acyclic_closure(pres, N, D):
     Stage 1 kills the ring variables (they minimally generate the
     maximal ideal since all relators have degree >= 2).
     """
-    if N < 1:
-        raise ResolutionError("stage bound must be >= 1")
-    tower = ExtensionTower(pres, "gamma", nmax=N, dmax=D)
-    for i, (nm, w) in enumerate(pres.variables):
-        vmono = tuple(1 if k == i else 0 for k in range(len(pres.names)))
-        tower.adjoin("x1_%d" % (i + 1), 1, w,
-                     tower.ground_element({vmono: pres.field.one}))
-    for n in range(2, N + 1):
-        gens = minimal_generators(tower, n - 1, D)
-        for i, (d, z) in enumerate(gens):
-            tower.adjoin("x%d_%d" % (n, i + 1), n, d, z)
-    return tower
+    nvars = len(pres.names)
+    variables = [(w, {tuple(int(k == i) for k in range(nvars)): pres.field.one})
+                 for i, (_, w) in enumerate(pres.variables)]
+    return _build_stages(pres, "gamma", "x", variables, N, D)

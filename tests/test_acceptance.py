@@ -10,7 +10,7 @@ import random
 import pytest
 
 from tatelab import (build_acyclic_closure, build_minimal_model,
-                     d2_rank_via_koszul, deviations, betti_numbers, ci_check,
+                     deviations, betti_numbers, ci_check,
                      aq_ranks, poincare_from_deviations, parse_presentation,
                      koszul_on_minimal_generators)
 from tatelab.cli import main
@@ -78,7 +78,7 @@ def test_criterion_4_cotangent_dictionary():
     for name in DICTIONARY_CATALOG:
         doc = load_doc(name)
         pres = parse_presentation(doc)
-        mu = d2_rank_via_koszul(pres, 12)
+        mu = ci_check(pres, 12).evidence["koszul_h1_mu"]
         eps3 = deviations(pres, 3, 12, "minimal-model")[3]
         # both read stage 2 of one model; the oracle is the independent check
         assert mu == eps3 == koszul_h1_mu_oracle(doc, 12), name

@@ -243,7 +243,7 @@ def brute_force_piece(t, n, d):
     for ext in patterns(0, n):
         left = d - sum(e * t.variables[i].ideg for i, e in ext)
         if left >= 0:
-            words.extend((m, ext) for m in t.ground.quotient_basis(left).monomials)
+            words.extend((m, ext) for m in t.ground.quotient_basis(left))
     return tuple(words)
 
 

@@ -23,6 +23,14 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden_stdout.json")
 
 RINGS = SINGLE_INSTANCES + ["nonunit_q"]
 
+# every single-instance command at default bounds, as a table: the labels
+# print relators through Presentation.poly_str
+TABLE_COMMANDS = [
+    ["deviations"], ["deviations", "--route", "minimal-model"], ["ci-check"],
+    ["aq-ranks"], ["betti"], ["poincare"], ["koszul-h1"], ["model-print"],
+    ["audit", "rigidity"], ["audit", "growth"],
+]
+
 
 def jobs():
     for name in RINGS:
@@ -37,6 +45,9 @@ def jobs():
         for kind in ("jacobi-zariski", "ci-vanishing"):
             for fmt in ("json", "table"):
                 yield name, ["audit", kind, "--format", fmt]
+    for name in SINGLE_INSTANCES:
+        for argv in TABLE_COMMANDS:
+            yield name, argv + ["--format", "table"]
 
 
 def run_all(tmpdir):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from tatelab.fields import PrimeField, QQ
 from tatelab.invariants import (DeviationTable, InsufficientCertification,
                                 aq_ranks, betti_numbers, characteristic_window,
-                                ci_check, d2_rank_via_koszul, deviations,
+                                ci_check, deviations,
                                 poincare_from_deviations)
 from tatelab.presentations import parse_presentation
 
@@ -164,9 +164,10 @@ def test_ci_regular_homomorphism_flag():
 
 
 def test_d2_rank_frozen_values():
-    assert d2_rank_via_koszul(load_pres("ci_q"), 12) == 0
-    assert d2_rank_via_koszul(load_pres("m2zero_q"), 12) == 2
-    assert d2_rank_via_koszul(load_pres("xsq_xy_q"), 12) == 1
+    # mu(H_1) of the Koszul complex on minimal generators is eps_3
+    assert deviations(load_pres("ci_q"), 3, 12, "minimal-model")[3] == 0
+    assert deviations(load_pres("m2zero_q"), 3, 12, "minimal-model")[3] == 2
+    assert deviations(load_pres("xsq_xy_q"), 3, 12, "minimal-model")[3] == 1
 
 
 # -- AQ rank dictionary -------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from tatelab.fields import PrimeField, QQ
-from tatelab.linalg import Echelon, Kernel, rref, solve_cols
+from tatelab.linalg import Echelon, Kernel, add_into, rref, solve_cols
 
 
 def to_dense(v, n):
@@ -270,3 +270,30 @@ def test_rref_matches_oracle_on_large_rationals(dense):
     assert len(kernel) == ncols - len(opivots)
     for v in kernel:
         assert apply_cols(cols, v, QQ) == {}
+
+
+# -- the sparse accumulator ----------------------------------------------------
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=str)
+def test_add_into_drops_cancelled_keys(field):
+    one, neg = field.one, field.neg
+    out = {0: one, 1: one}
+    assert add_into(out, [(0, neg(one)), (2, one)], field) is out
+    assert out == {1: one, 2: one}
+    rng = random.Random(20261018)
+    for _ in range(300):
+        start = {k: field.from_int(rng.randint(1, 4)) for k in rng.sample(range(5), 2)}
+        start = {k: c for k, c in start.items() if not field.is_zero(c)}
+        terms = [(rng.randrange(5), field.from_int(rng.randint(-4, 4)))
+                 for _ in range(rng.randrange(10))]
+        if field.kind == "Q":
+            terms = [(k, field.mul(c, field.inv(field.from_int(rng.randint(1, 3)))))
+                     if c else (k, c) for k, c in terms]
+        # reference: sum each key over all its terms, then keep nonzero sums
+        sums = dict(start)
+        for k, c in terms:
+            sums[k] = field.add(sums.get(k, field.zero), c)
+        expect = {k: c for k, c in sums.items() if not field.is_zero(c)}
+        got = add_into(dict(start), terms, field)
+        assert got == expect
+        assert not any(field.is_zero(c) for c in got.values())

@@ -98,16 +98,16 @@ def test_monomials_weighted():
 
 def test_quotient_basis_m2zero():
     p = P(["x^2", "x*y", "y^2"])
-    assert p.quotient_basis(0).monomials == ((0, 0),)
-    assert p.quotient_basis(1).monomials == ((1, 0), (0, 1))
-    assert p.quotient_basis(2).monomials == ()
+    assert p.quotient_basis(0) == ((0, 0),)
+    assert p.quotient_basis(1) == ((1, 0), (0, 1))
+    assert p.quotient_basis(2) == ()
     assert p.hilbert(5) == [1, 2, 0, 0, 0, 0]
 
 
 def test_quotient_basis_nontrivial_pivot():
     # relator x^2 - y^2: pivot on the lex-larger monomial x^2
     p = P(["x^2 - y^2"])
-    assert p.quotient_basis(2).monomials == ((1, 1), (0, 2))
+    assert p.quotient_basis(2) == ((1, 1), (0, 2))
     assert p.hilbert(4) == [1, 2, 2, 2, 2]
 
 
@@ -164,7 +164,7 @@ def test_ideal_span_rows_are_the_multiply_rows():
                 want = []
                 for g in gens:
                     e = ring.degree_of(next(iter(g)))
-                    for s in ring.quotient_basis(d - e).monomials if e <= d else ():
+                    for s in ring.quotient_basis(d - e) if e <= d else ():
                         prod = ring.multiply({s: ring.field.one}, g)
                         shortened += len(prod) < len(g)
                         if prod:

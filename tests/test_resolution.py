@@ -328,6 +328,52 @@ def test_word_differential_from_a_cold_cache(name, build):
         assert t.word_differential(w) == leibniz_by_products(t, w), t.word_str(w)
 
 
+SHIFT_RINGS = ["m2zero_q", "m2zero_f5", "xz_over_jz_q"]
+
+
+@pytest.mark.parametrize("build", TOWER_KINDS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize("name", SHIFT_RINGS)
+def test_times_monomial_is_the_element_product(name, build):
+    # every generator multiple s*g that minimal_generators reads, against the
+    # general product of s as a tower element with g
+    pres, D = _pres(name), 10
+    count = reduced = 0
+    for q in range(1, 4):
+        t = build(pres, q, D)
+        ground, one = t.ground, t.field.one
+        gens = minimal_generators(t, q, D)
+        for d in range(D + 1):
+            for e, g in gens:
+                for s in ground.quotient_basis(d - e) if e < d else ():
+                    prod = t.times_monomial(g, s)
+                    assert prod == t.ground_element({s: one}) * g, (q, d, str(g))
+                    count += 1
+                    reduced += len(prod.terms) != len(g.terms)
+    assert count >= 10
+    if ground.relators:
+        assert reduced
+
+
+@pytest.mark.parametrize("build", TOWER_KINDS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize("name", SHIFT_RINGS)
+def test_element_differential_is_the_termwise_sum(name, build):
+    t = build(_pres(name), 4, 10)
+    f = t.field
+    rng = random.Random(20261018)
+    words = [w for w in _all_words(t, 4, 10) if w[1]]
+    for _ in range(40):
+        terms = {w: f.from_int(rng.choice([-3, -1, 1, 2, 5]))
+                 for w in rng.sample(words, 6)}
+        terms = {w: c for w, c in terms.items() if not f.is_zero(c)}
+        expect = Element.zero(t)
+        for w, c in terms.items():
+            expect = expect + t.word_differential(w).scale(c)
+        assert Element(t, terms).differential() == expect
+        # a cancelling sum: x - x has no terms left
+        x = Element(t, terms)
+        assert (x - x).differential().is_zero()
+
+
 def test_oracle_rings_reach_what_the_shortcuts_skip():
     # the oracle rings exercise divided powers e >= 2 in characteristic p,
     # polynomial squares over Q and shifts that reduce over a quotient base
@@ -388,7 +434,7 @@ def test_generator_multiples_span_the_decomposables(name, build):
             bounds = t.matrix(q + 1, d)[0]
             by_gens = [t.coords(t.ground_element({s: one}) * g, q, d)
                        for e, g in gens if e < d
-                       for s in ground.quotient_basis(d - e).monomials]
+                       for s in ground.quotient_basis(d - e)]
             by_cycles = []
             for i, (_, w) in enumerate(ground.variables):
                 x = t.ground_element({tuple(int(k == i) for k in
@@ -486,7 +532,7 @@ def full_coordinate_generators(tower, q, D):
         for b in tower.matrix(q + 1, d)[0]:
             sub.add(b)
         for e, g in gens:
-            for s in ground.quotient_basis(d - e).monomials:
+            for s in ground.quotient_basis(d - e):
                 sub.add(tower.coords(tower.ground_element({s: one}) * g, q, d))
         for z in tower.solved(q, d):
             if sub.add(z) is not None:
