@@ -84,40 +84,36 @@ def growth_probe(pres, N, D):
     expected to grow exponentially; reports max eps_n^(1/n) over the
     window and flags when it exceeds 1.  Never fails."""
     notes = []
-    checks = []
     if N < 4:
         notes.append("window too small (N < 4): nothing to probe")
-        return AuditReport("deviation-growth-probe", _instance_label(pres),
-                           {"N": N, "D": D}, checks, notes)
-    verdict = ci_check(pres, D)
-    if verdict.is_ci == "yes":
+    elif ci_check(pres, D).is_ci == "yes":
         notes.append("not applicable (complete intersection)")
-        return AuditReport("deviation-growth-probe", _instance_label(pres),
-                           {"N": N, "D": D}, checks, notes)
-    dev = deviations(pres, N, D, "acyclic-closure")
-    eps = {n: dev[n] for n in range(1, N + 1)}
-    # eps_n^(1/n) > 1 exactly when eps_n >= 2; the float is display only
-    flagged = any(c >= 2 for c in eps.values())
-    max_root = max(c ** (1.0 / n) for n, c in eps.items())
-    notes.append("eps(1..%d) = %s" % (N, [eps[n] for n in range(1, N + 1)]))
-    notes.append("max eps_n^(1/n) = %.6f" % max_root)
-    if flagged:
-        notes.append("consistent with exponential growth (max root > 1); "
-                     "this probe certifies nothing")
     else:
-        notes.append("no growth detected in the window; this probe certifies nothing")
+        dev = deviations(pres, N, D, "acyclic-closure")
+        eps = {n: dev[n] for n in range(1, N + 1)}
+        # eps_n^(1/n) > 1 exactly when eps_n >= 2; the float is display only
+        flagged = any(c >= 2 for c in eps.values())
+        max_root = max(c ** (1.0 / n) for n, c in eps.items())
+        notes.append("eps(1..%d) = %s" % (N, [eps[n] for n in range(1, N + 1)]))
+        notes.append("max eps_n^(1/n) = %.6f" % max_root)
+        if flagged:
+            notes.append("consistent with exponential growth (max root > 1); "
+                         "this probe certifies nothing")
+        else:
+            notes.append("no growth detected in the window; this probe certifies nothing")
     return AuditReport("deviation-growth-probe", _instance_label(pres),
-                       {"N": N, "D": D}, checks, notes)
+                       {"N": N, "D": D}, [], notes)
 
 
 def _layer_chain(layers):
-    """[Presentation] with each the base of the next; returns (Q, R, S)."""
+    """[Presentation] with each the base of the next; returns R, S and
+    S over Q."""
     if len(layers) != 3:
         raise AuditError("expected a tower of exactly three presentation layers")
     q, r, s = layers
     if r.base is not q or s.base is not r:
         raise AuditError("tower layers must be chained base-to-quotient")
-    return q, r, s
+    return r, s, Presentation(s.field, s.variables, s.relators, base=q)
 
 
 def build_layer_chain(docs):
@@ -192,11 +188,10 @@ def jacobi_zariski_audit(layers, witness, i_max, D):
     kernel), even cotangent ranks cannot grow when the base is shrunk:
     rank_{2i}(S over R) <= rank_{2i}(S over Q), inside the
     characteristic window 2i <= 2p-1 (all i in characteristic zero)."""
-    q, r, s = _layer_chain(layers)
+    r, s, s_over_q = _layer_chain(layers)
     if i_max < 1:
         raise AuditError("i_max must be >= 1")
     verify_regular_witness(r, s, witness, D)
-    s_over_q = Presentation(s.field, s.variables, s.relators, base=q)
     limit = characteristic_window(s.field)
     checks = []
     in_window = [i for i in range(1, i_max + 1)
@@ -230,10 +225,9 @@ def ci_vanishing_audit(layers, N, D):
     layer Q, the cotangent homology of S over R vanishes in degrees >= 3:
     audited as eps_{n+1}(R ->> S) = 0, i.e. the minimal model of S over R
     has no stage-n variables, for 3 <= n <= N."""
-    q, r, s = _layer_chain(layers)
+    r, s, s_over_q = _layer_chain(layers)
     if N < 3:
         raise AuditError("N must be >= 3 to audit vanishing")
-    s_over_q = Presentation(s.field, s.variables, s.relators, base=q)
     ci_r = ci_check(r, D)
     ci_s = ci_check(s_over_q, D)
     if ci_r.is_ci != "yes" or ci_s.is_ci != "yes":

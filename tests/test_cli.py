@@ -382,16 +382,27 @@ def test_help_exits_zero(capsys):
     assert "deviations" in out and "audit" in out
 
 
-def test_audit_kind_must_match_instance_shape(capsys):
-    code, _, err = run(capsys, "audit", "rigidity", "--input", cat("tower_jz_q"))
-    assert code == 1
-    assert err == "error: rigidity audit takes a single presentation instance\n"
-    code, _, err = run(capsys, "audit", "jacobi-zariski",
-                       "--input", cat("m2zero_q"))
-    assert code == 1
-    assert "needs a 'tower' of three layers" in err
-    code, _, err = run(capsys, "audit", "ci-vanishing", "--input", cat("hyp_q"))
-    assert code == 1
+def test_audit_kind_must_match_instance_shape(tmp_path, capsys):
+    cases = [
+        ("rigidity", "tower_jz_q",
+         "rigidity audit takes a single presentation instance"),
+        ("growth", "tower_ci_q",
+         "growth probe takes a single presentation instance"),
+        ("jacobi-zariski", "m2zero_q",
+         "jacobi-zariski audit needs a 'tower' of three layers"),
+        ("ci-vanishing", "hyp_q",
+         "ci-vanishing audit needs a 'tower' of three layers"),
+        # the document's own parse error wins over the kind mismatch
+        ("rigidity", {"tower": [1, 2]},
+         "'tower' must list exactly three presentation layers"),
+        ("jacobi-zariski", {"variables": []}, "presentation is missing 'field'"),
+        ("ci-vanishing", {"variables": []}, "presentation is missing 'field'"),
+    ]
+    for kind, instance, message in cases:
+        path = (cat(instance) if isinstance(instance, str)
+                else _write_doc(tmp_path, instance))
+        code, out, err = run(capsys, "audit", kind, "--input", path)
+        assert (code, out, err) == (1, "", "error: %s\n" % message), (kind, instance)
 
 
 # -- determinism ---------------------------------------------------------------

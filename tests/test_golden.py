@@ -6,6 +6,8 @@ byte alone (a speedup, a refactor) keeps this test green for free; one that
 changes output on purpose re-records the file with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints the keys it adds, removes or changes before it writes.
 """
 
 import hashlib
@@ -23,8 +25,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden_stdout.json")
 
 RINGS = SINGLE_INSTANCES + ["nonunit_q"]
 
-# every single-instance command at default bounds, as a table: the labels
-# print relators through Presentation.poly_str
+# every single-instance command at default bounds, as a table (the labels
+# print relators through Presentation.poly_str) and as the JSON a script reads
 TABLE_COMMANDS = [
     ["deviations"], ["deviations", "--route", "minimal-model"], ["ci-check"],
     ["aq-ranks"], ["betti"], ["poincare"], ["koszul-h1"], ["model-print"],
@@ -47,7 +49,8 @@ def jobs():
                 yield name, ["audit", kind, "--format", fmt]
     for name in SINGLE_INSTANCES:
         for argv in TABLE_COMMANDS:
-            yield name, argv + ["--format", "table"]
+            for fmt in ("table", "json"):
+                yield name, argv + ["--format", fmt]
 
 
 def run_all(tmpdir):
@@ -78,6 +81,14 @@ if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmpdir:
         doc = run_all(tmpdir)
+    with open(GOLDEN) as fh:
+        old = json.load(fh)
+    for label, keys in (("added", doc.keys() - old.keys()),
+                        ("removed", old.keys() - doc.keys()),
+                        ("changed", {k for k in doc.keys() & old.keys()
+                                     if doc[k] != old[k]})):
+        for key in sorted(keys):
+            sys.stdout.write("%s: %s\n" % (label, key))
     with open(GOLDEN, "w") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     sys.stdout.write("recorded %d hashes in %s\n" % (len(doc), GOLDEN))
