@@ -46,7 +46,12 @@ def _read_input(args):
     """--input as one Presentation, or as the raw document for an audit,
     whose object carries its own bounds and may hold a 'tower'."""
     doc = _load(args.input)
-    return doc if args.command == "audit" else parse_presentation(doc)
+    if args.command == "audit":
+        return doc
+    if isinstance(doc, dict) and "tower" in doc:
+        raise ValueError("a 'tower' document is read only by audit jacobi-zariski "
+                         "and audit ci-vanishing")
+    return parse_presentation(doc)
 
 
 def _certline(count, D):

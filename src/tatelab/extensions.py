@@ -18,15 +18,19 @@ Conventions fixed once and for all:
     it is ground-linear, so a word's differential comes from a shorter
     word's: d(m*X) = m*d(X) for a ground monomial m, and
     d(a*v^e) = d(a)*v^e + (-1)^{|a|} a*d(v^e) for the last factor v^e;
-  * a ground monomial s times an element shifts each word's monomial by s
-    and reduces it in the ground ring (``times_monomial``), the one shift
-    that both d(m*X) and the generator multiples of the builders use;
   * a word is a canonical product  (base monomial) * v1^{e1} * v2^{e2} ...
     with the variables in adjunction order; reordering while multiplying
     picks up the usual Koszul sign, one -1 per odd-odd transposition;
-  * piece bases pair every admissible exponent pattern with the standard
-    monomials of the ground ring in the leftover internal degree, in a
-    fixed enumeration order, so all matrices are reproducible.
+  * a piece is laid out in blocks, one per admissible exponent pattern X
+    in a fixed enumeration order: block X holds the words s*X, s over the
+    standard ground monomials of the leftover internal degree b, so all
+    matrices are reproducible;
+  * the one ground-monomial shift is a table per (monomial m, degree b):
+    for each standard s of degree b, the reduced s*m as (basis index,
+    scalar) pairs.  A differential fills block X from d(1*X), the only
+    word differential cached, by shifting each of its terms, and
+    ``times_monomial`` (the builders' generator multiples) reads the same
+    tables.
 
 Words are pairs (mono, ext) with mono a standard ground monomial and ext
 a tuple of (variable index, exponent) pairs sorted by index.
@@ -34,7 +38,7 @@ a tuple of (variable index, exponent) pairs sorted by index.
 
 from bisect import bisect_right
 from math import comb
-from operator import add
+from operator import add, itemgetter
 
 from . import linalg
 from .presentations import join_terms
@@ -162,8 +166,13 @@ class ExtensionTower:
         self.nmax = nmax
         self.dmax = dmax
         self.variables = []
+        self._unit = (0,) * len(ground.names)
+        # modulo monomial relators a product of monomials is standard or
+        # zero, so the shifts of distinct monomials never merge
+        self._merges = any(len(f) > 1 for f in ground.relators)
         self._cache = {}
         self._dwords = {}
+        self._shifts = {}
 
     # -- construction ---------------------------------------------------
 
@@ -199,8 +208,7 @@ class ExtensionTower:
         return var
 
     def variable_element(self, var):
-        unit = (0,) * len(self.ground.names)
-        return Element.from_word(self, (unit, ((var.index, 1),)))
+        return Element.from_word(self, (self._unit, ((var.index, 1),)))
 
     def ground_element(self, elem):
         """Reduced ground element {mono: scalar} -> degree-zero tower element."""
@@ -208,10 +216,14 @@ class ExtensionTower:
 
     def times_monomial(self, elem, s):
         """s * elem for a ground monomial s: each word's monomial times s,
-        reduced in the ground ring."""
-        f, reduce = self.field, self.ground.reduce_monomial
-        terms = (((sm, x), f.mul(c, r)) for (m, x), c in elem.terms.items()
-                 for sm, r in reduce(tuple(map(add, s, m))).items())
+        reduced in the ground ring, read off the shift table of s."""
+        ground, f, k = self.ground, self.field, self.ground.degree_of(s)
+        terms = []
+        for (m, x), c in elem.terms.items():
+            b = ground.degree_of(m)
+            basis = ground.quotient_basis(b + k)
+            row = self._shift(s, b)[ground.basis_index(b)[m]]
+            terms += [((basis[j], x), f.mul(c, r)) for j, r in row]
         return Element(self, linalg.add_into({}, terms, f))
 
     # -- word structure ---------------------------------------------------
@@ -282,7 +294,8 @@ class ExtensionTower:
         d(a * v^e) = d(a) * v^e + (-1)^{|a|} k * a * d(v) * v^(e-1), with
         k = e for a polynomial v and 1 otherwise; d(a) and a * d(v) use only
         variables before v, so v^e and v^(e-1) are plain, unsigned suffixes.
-        A word with no extension part has d = 0 and no cache entry.
+        A word with no extension part has d = 0, and only pure words, of
+        monomial 1, are cached.
         """
         cached = self._dwords.get(word)
         if cached is not None:
@@ -290,100 +303,144 @@ class ExtensionTower:
         mono, ext = word
         if not ext:
             return Element.zero(self)
-        f = self.field
         if any(mono):
-            result = self.times_monomial(self.word_differential(((0,) * len(mono), ext)),
-                                         mono)
-        else:
-            left, (idx, e) = ext[:-1], ext[-1]
-            v = self.variables[idx]
-            out = {(m, x + ext[-1:]): c for (m, x), c
-                   in self.word_differential((mono, left)).terms.items()}
-            k = f.from_int(e if v.flavor == POLYNOMIAL else 1)
-            if sum(self.variables[i].hdeg * n for i, n in left) % 2:
-                k = f.neg(k)
-            rest = ((idx, e - 1),) if e > 1 else ()
-            terms = (((m, x + rest), f.mul(f.mul(k, c), y))
-                     for w, c in v.dval.terms.items()
-                     for (m, x), y in self._mul_words((mono, left), w))
-            result = Element(self, linalg.add_into(out, terms, f))
+            return self.times_monomial(self.word_differential((self._unit, ext)), mono)
+        f = self.field
+        left, (idx, e) = ext[:-1], ext[-1]
+        v = self.variables[idx]
+        out = {(m, x + ext[-1:]): c for (m, x), c
+               in self.word_differential((mono, left)).terms.items()}
+        k = f.from_int(e if v.flavor == POLYNOMIAL else 1)
+        if sum(self.variables[i].hdeg * n for i, n in left) % 2:
+            k = f.neg(k)
+        rest = ((idx, e - 1),) if e > 1 else ()
+        terms = (((m, x + rest), f.mul(f.mul(k, c), y))
+                 for w, c in v.dval.terms.items()
+                 for (m, x), y in self._mul_words((mono, left), w))
+        result = Element(self, linalg.add_into(out, terms, f))
         self._dwords[word] = result
         return result
 
-    # -- piece bases and matrices ------------------------------------------
+    # -- piece layout and matrices ----------------------------------------
 
-    def _check_bounds(self, n, d):
+    def _layout(self, n, d):
+        """Block layout of the bidegree-(n, d) piece: (blocks, index, size).
+
+        blocks holds one (ext, b, off) per extension pattern ext whose
+        leftover internal degree b has standard ground monomials; its words
+        s * ext, s over the standard monomials of degree b, sit at
+        coordinates off, off + 1, ...  index maps each ext to its block.
+        """
+        if n < 0 or d < 0:
+            return (), {}, 0
         if self.nmax is not None and n > self.nmax + 1:
             raise TowerError("homological bound exceeded: %d > %d" % (n, self.nmax + 1))
         if self.dmax is not None and d > self.dmax:
             raise TowerError("internal bound exceeded: %d > %d" % (d, self.dmax))
-
-    def piece(self, n, d):
-        """Ordered word basis of the bidegree-(n, d) piece."""
-        if n < 0 or d < 0:
-            return ()
-        self._check_bounds(n, d)
-        key = ("piece", n, d)
-        if key in self._cache:
-            return self._cache[key]
-        words = []
+        key = ("layout", n, d)
+        layout = self._cache.get(key)
+        if layout is not None:
+            return layout
+        blocks = []
         variables = self.variables
         hdegs = [v.hdeg for v in variables]
+        widths = [len(self.ground.quotient_basis(b)) for b in range(d + 1)]
 
         def rec(i, h, dd, acc):
-            if h == 0:
-                for mono in self.ground.quotient_basis(dd):
-                    words.append((mono, tuple(acc)))
-                return
             # the next factor is v_j^e for some j >= i with hdeg <= h (hdeg
-            # weakly increases); words that skip v_j come before words that
-            # use it, so j runs down, and the depth is the factor count
+            # weakly increases); patterns that skip v_j come before patterns
+            # that use it, so j runs down, and the depth is the factor count
             for j in range(bisect_right(hdegs, h) - 1, i - 1, -1):
                 v = variables[j]
                 cap = 1 if v.flavor == EXTERIOR else h // v.hdeg
                 for e in range(1, min(cap, dd // v.ideg) + 1):
                     acc.append((j, e))
-                    rec(j + 1, h - e * v.hdeg, dd - e * v.ideg, acc)
+                    hh, rest = h - e * v.hdeg, dd - e * v.ideg
+                    if hh:
+                        rec(j + 1, hh, rest, acc)
+                    elif widths[rest]:
+                        blocks.append((tuple(acc), rest))
                     acc.pop()
 
-        rec(0, n, d, [])
-        words = tuple(words)
-        self._cache[key] = words
-        return words
+        if n:
+            rec(0, n, d, [])
+        elif widths[d]:
+            blocks.append(((), d))
+        size = 0
+        for k, (ext, b) in enumerate(blocks):
+            blocks[k] = (ext, b, size)
+            size += widths[b]
+        layout = (tuple(blocks), {blk[0]: blk for blk in blocks}, size)
+        self._cache[key] = layout
+        return layout
 
-    def piece_index(self, n, d):
-        key = ("pidx", n, d)
-        if key in self._cache:
-            return self._cache[key]
-        idx = {w: i for i, w in enumerate(self.piece(n, d))}
-        self._cache[key] = idx
-        return idx
+    def _shift(self, mono, b):
+        """Shift table of a ground monomial on degree b: row i holds the
+        reduced s * mono, for the i-th standard monomial s of degree b, as
+        (index in the degree-(b + |mono|) basis, scalar) pairs."""
+        key = (mono, b)
+        rows = self._shifts.get(key)
+        if rows is None:
+            ground = self.ground
+            index = ground.basis_index(b + ground.degree_of(mono))
+            rows = self._shifts[key] = tuple(
+                tuple((index[sm], r) for sm, r in ground.reduce_monomial(
+                    tuple(map(add, s, mono))).items())
+                for s in ground.quotient_basis(b))
+        return rows
+
+    def piece(self, n, d):
+        """Ordered word basis of the bidegree-(n, d) piece, block by block."""
+        blocks = self._layout(n, d)[0]
+        quotient_basis = self.ground.quotient_basis
+        return tuple((s, ext) for ext, b, _ in blocks for s in quotient_basis(b))
 
     def coords(self, elem, n, d):
-        index = self.piece_index(n, d)
+        index = self._layout(n, d)[1]
+        basis_index = self.ground.basis_index
         out = {}
-        for w, c in elem.terms.items():
-            if w not in index:
+        for (mono, ext), c in elem.terms.items():
+            blk = index.get(ext)
+            i = None if blk is None else basis_index(blk[1]).get(mono)
+            if i is None:
                 raise TowerError("element does not lie in piece (%d, %d)" % (n, d))
-            out[index[w]] = c
+            out[blk[2] + i] = c
         return out
 
     def element(self, coords, n, d):
-        basis = self.piece(n, d)
-        return Element(self, {basis[i]: c for i, c in coords.items()})
+        blocks = self._layout(n, d)[0]
+        quotient_basis = self.ground.quotient_basis
+        terms = {}
+        for i, c in coords.items():
+            ext, b, off = blocks[bisect_right(blocks, i, key=itemgetter(2)) - 1]
+            terms[(quotient_basis(b)[i - off], ext)] = c
+        return Element(self, terms)
 
     def matrix(self, n, d):
-        """Differential piece (n, d) -> (n-1, d) as (sparse columns, nrows)."""
-        src = self.piece(n, d)
-        tgt_index = self.piece_index(n - 1, d)
+        """Differential piece (n, d) -> (n-1, d) as (sparse columns, nrows).
+
+        Column s * ext of a block is s * d(1 * ext): a term c * m * x of
+        d(1 * ext) adds c times row s of the shift table of (m, b) into
+        target block x.  A target block is missing only where its degree has
+        no standard monomials, and then every row is empty.  Sums are taken
+        only where a reduction can merge two products.
+        """
+        blocks = self._layout(n, d)[0]
+        _, target, nrows = self._layout(n - 1, d)
+        f, unit, quotient_basis = self.field, self._unit, self.ground.quotient_basis
         cols = []
-        for w in src:
-            dv = self.word_differential(w)
-            col = {}
-            for ww, c in dv.terms.items():
-                col[tgt_index[ww]] = c
-            cols.append(col)
-        return cols, len(self.piece(n - 1, d))
+        for ext, b, _ in blocks:
+            terms = [(blk[2], c, self._shift(m, b)) for (m, x), c
+                     in self.word_differential((unit, ext)).terms.items()
+                     if (blk := target.get(x))]
+            width = range(len(quotient_basis(b)))
+            if self._merges:
+                cols += [linalg.add_into({}, ((off + j, f.mul(c, r)) for off, c, rows in terms
+                                              for j, r in rows[i]), f) for i in width]
+            else:
+                cols += [{off + j: c for off, c, rows in terms for j, _ in rows[i]}
+                         for i in width]
+        return cols, nrows
 
     def solved(self, n, d):
         """Canonical kernel basis of the differential out of (n, d), uncached."""
@@ -409,12 +466,8 @@ class ExtensionTower:
         return "*".join(parts) if parts else "1"
 
     def element_str(self, elem):
-        return join_terms((self.field.to_str(elem.terms[w]), self.word_str(w))
-                          for w in sorted(elem.terms, key=self._word_sort_key))
-
-    def _word_sort_key(self, word):
-        mono, ext = word
-        return (ext, tuple(-e for e in mono))
+        order = sorted(elem.terms, key=lambda w: (w[1], tuple(-e for e in w[0])))
+        return join_terms((self.field.to_str(elem.terms[w]), self.word_str(w)) for w in order)
 
     def dump(self):
         """Tower as a JSON-ready list: one entry per adjoined variable."""

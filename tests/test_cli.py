@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, output formats, determinism."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 from tatelab.audits import AuditReport
-from tatelab.cli import main
+from tatelab.cli import COMMANDS, main
 
 from conftest import CATALOG
 
@@ -405,6 +406,17 @@ def test_audit_kind_must_match_instance_shape(tmp_path, capsys):
         assert (code, out, err) == (1, "", "error: %s\n" % message), (kind, instance)
 
 
+@pytest.mark.parametrize("command", [name for name, _, _ in COMMANDS if name != "audit"])
+@pytest.mark.parametrize("instance", ["tower_jz_q", "tower_ci_q"])
+def test_tower_document_refused_by_single_commands(capsys, command, instance):
+    # a tower file is read only by the two tower audits, and saying so beats
+    # a complaint about a missing 'field'
+    code, out, err = run(capsys, command, "--input", cat(instance))
+    assert (code, out) == (1, "")
+    assert err == ("error: a 'tower' document is read only by audit jacobi-zariski "
+                   "and audit ci-vanishing\n")
+
+
 # -- determinism ---------------------------------------------------------------
 
 REPLAY = [
@@ -473,29 +485,54 @@ def test_traced_job_matches_untraced_cli(tmp_path):
     assert calls["resolution.kernel_generators"] == 1
 
 
-@pytest.mark.parametrize("argv, spans", [
-    (["ci-check", "--input", cat("hyp_q")], ["resolution.build"]),
-    (["deviations", "--route", "minimal-model", "--N", "4", "--input",
-      cat("m2zero_q")],
-     ["resolution.minimal_generators", "extensions.matrix", "linalg.echelon_add"]),
-], ids=["ci-check-hyp_q", "model-m2zero_q"])
-def test_traced_job_layer_self_times_add_up(tmp_path, argv, spans):
+def _perfbench_jobs():
+    path = os.path.join(os.path.dirname(CATALOG), "perfbench", "jobs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench = _perfbench_jobs()
+MODEL_SPANS = ["resolution.minimal_generators", "extensions.matrix", "linalg.echelon_add"]
+
+
+@pytest.mark.parametrize("workload, job, spans", [
+    (None, ["ci-check", "--input", cat("hyp_q")], ["resolution.build"]),
+    (None, ["deviations", "--route", "minimal-model", "--N", "4", "--input",
+            cat("m2zero_q")], MODEL_SPANS),
+] + [(workload, job, MODEL_SPANS) for workload in ("model_q", "closure_fp")
+     for job in bench.WORKLOADS[workload]],
+    ids=["ci-check-hyp_q", "model-m2zero_q"]
+    + ["%s-%s" % (workload, job[0]) for workload in ("model_q", "closure_fp")
+       for job in bench.WORKLOADS[workload]])
+def test_traced_job_layer_self_times_add_up(tmp_path, workload, job, spans):
     # the benchmark's traced run needs every name it wraps, the same stdout
-    # as the untraced run and self times that sum to the traced wall time
+    # as the untraced run (another process, another hash seed) and self
+    # times that sum to the traced wall time; a benchmark job runs on the
+    # benchmark's own seeded inputs and must pass its output check
     root = os.path.dirname(CATALOG)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")]))
+    argv = job
+    if workload is not None:
+        argv = bench.job_argv(job, bench.write_inputs(workload, 1, str(tmp_path)))
+    path = os.pathsep.join([os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")])
     trace = tmp_path / "trace.json"
-    plain = subprocess.run([sys.executable, "-m", "tatelab"] + argv,
-                           capture_output=True, env=env, cwd=root)
+    plain = subprocess.run([sys.executable, "-m", "tatelab"] + argv, capture_output=True,
+                           env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED="0"),
+                           cwd=root)
     traced = subprocess.run(
         [sys.executable, os.path.join(root, "perfbench", "traced_job.py"),
-         str(trace)] + argv, capture_output=True, env=env, cwd=root)
+         str(trace)] + argv, capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED="1"), cwd=root)
     assert plain.returncode == traced.returncode == 0, traced.stderr
     assert traced.stdout == plain.stdout
     doc = json.loads(trace.read_text())
     assert abs(sum(doc["self_s"].values()) - doc["wall_s"]) <= 0.05 * doc["wall_s"]
     assert all(doc["calls"].get(name, 0) > 0 for name in spans), doc["calls"]
+    if workload is not None:
+        expected = bench.load_json("expected.json")
+        assert bench.check(job, expected, traced.returncode, traced.stdout,
+                           traced.stderr) is None
 
 
 def test_setup_probe_parses_the_catalog():

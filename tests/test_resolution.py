@@ -293,6 +293,8 @@ DIFFERENTIAL_RINGS = LONGHAND + ["m2zero_f5", "cidiag_f2", "nonunit_q",
 def _pres(name):
     if name == "nonunit_q":
         return parse_presentation(NONUNIT_Q)
+    if name == "xy_ysq_q":
+        return parse_presentation(XY_YSQ_Q)
     if name == "xz_over_jz_q":
         layers = load_doc("tower_jz_q")["tower"]
         base = build_layer_chain(layers)[1]
@@ -326,6 +328,80 @@ def test_word_differential_from_a_cold_cache(name, build):
     t._dwords.clear()
     for w in words:
         assert t.word_differential(w) == leibniz_by_products(t, w), t.word_str(w)
+
+
+# cidiag_f2 and m2zero_f5 have ground degrees with no standard monomials
+# and shifts that vanish; hyp_weighted_q reduces a shifted monomial to
+# another, and over x*y = y^2 a reduced shift merges with a standard one
+ASSEMBLY_RINGS = ["m2zero_q", "m2zero_f5", "cidiag_f2", "xz_over_jz_q",
+                  "hyp_weighted_q", "xy_ysq_q"]
+XY_YSQ_Q = dict(NONUNIT_Q, relators=["x*y - y^2"])
+
+
+def _assembly_cases(t, n, d):
+    """(vanishing shifts, merged shifts, terms with no target block) of the
+    words of piece (n, d), counted from word differentials."""
+    ground, unit = t.ground, (0,) * len(t.ground.names)
+    target = t._layout(n - 1, d)[1]
+    vanish = merged = missing = 0
+    for mono, ext in t.piece(n, d):
+        terms = t.word_differential((unit, ext)).terms
+        products = [ground.reduce_monomial(tuple(a + b for a, b in zip(mono, m)))
+                    for m, _ in terms]
+        vanish += sum(not p for p in products)
+        merged += len(t.word_differential((mono, ext)).terms) < sum(map(len, products))
+        missing += sum(x not in target for _, x in terms)
+    return vanish, merged, missing
+
+
+@pytest.mark.parametrize("build", TOWER_KINDS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize("name", ASSEMBLY_RINGS)
+def test_block_assembly_matches_word_differentials(name, build):
+    # each column is the coordinate vector of its word's differential, and
+    # coordinates and elements invert each other on every word
+    N, D = 5, 10
+    t = build(_pres(name), N, D)
+    one = t.field.one
+    for n in range(N + 2):
+        for d in range(D + 1):
+            words = t.piece(n, d)
+            cols, nrows = t.matrix(n, d)
+            assert nrows == len(t.piece(n - 1, d))
+            assert cols == [t.coords(t.word_differential(w), n - 1, d) for w in words]
+            for i, w in enumerate(words):
+                x = Element.from_word(t, w)
+                assert t.coords(x, n, d) == {i: one}
+                assert t.element(t.coords(x, n, d), n, d) == x
+
+
+def test_block_assembly_rings_reach_every_case():
+    # the rings above include vanishing shifts, shifts that merge and
+    # differential terms whose target block is empty
+    totals = [0, 0, 0]
+    for name in ASSEMBLY_RINGS:
+        for build in TOWER_KINDS:
+            t = build(_pres(name), 5, 10)
+            for n in range(1, 7):
+                for d in range(11):
+                    totals = [a + b for a, b in zip(totals, _assembly_cases(t, n, d))]
+    assert all(totals), totals
+
+
+@pytest.mark.parametrize("build, name", [(build_minimal_model, "m2zero_q"),
+                                         (build_acyclic_closure, "m2zero_f5"),
+                                         (build_minimal_model, "xz_over_jz_q")],
+                         ids=["model-m2zero_q", "closure-m2zero_f5", "model-xz_over_jz_q"])
+def test_matrix_caches_only_pure_word_differentials(build, name):
+    # a block's columns are shifted from d(1 * X), the one differential it
+    # caches; d(m * X) for m != 1 is never stored
+    N, D = 5, 10
+    t = build(_pres(name), N, D)
+    t._dwords.clear()
+    for n in range(N + 2):
+        for d in range(D + 1):
+            t.matrix(n, d)
+    assert len(t._dwords) > 50
+    assert not any(any(mono) for mono, _ in t._dwords)
 
 
 SHIFT_RINGS = ["m2zero_q", "m2zero_f5", "xz_over_jz_q"]
@@ -512,11 +588,10 @@ def test_cached_pieces_match_a_fresh_enumeration(build, name):
     # must still be what an empty cache enumerates
     t = build(load_pres(name), 5, 10)
     cached = dict(t._cache)
-    assert any(key[0] == "piece" for key in cached)
+    assert cached and all(key[0] == "layout" for key in cached)
     t._cache.clear()
     for (kind, n, d), value in cached.items():
-        fresh = t.piece(n, d) if kind == "piece" else t.piece_index(n, d)
-        assert fresh == value, (kind, n, d)
+        assert t._layout(n, d) == value, (kind, n, d)
 
 
 # -- generator selection in free cycle coordinates ------------------------------
