@@ -24,7 +24,10 @@ Conventions fixed once and for all:
   * a piece is laid out in blocks, one per admissible exponent pattern X
     in a fixed enumeration order: block X holds the words s*X, s over the
     standard ground monomials of the leftover internal degree b, so all
-    matrices are reproducible;
+    matrices are reproducible.  The patterns of one homological degree are
+    enumerated once, up to the tower's internal bound, with their internal
+    degrees; each piece of that degree keeps, in that order, the patterns
+    whose leftover degree has standard monomials;
   * the one ground-monomial shift is a table per (monomial m, degree b):
     for each standard s of degree b, the reduced s*m as (basis index,
     scalar) pairs.  A differential fills block X from d(1*X), the only
@@ -326,10 +329,15 @@ class ExtensionTower:
     def _layout(self, n, d):
         """Block layout of the bidegree-(n, d) piece: (blocks, index, size).
 
-        blocks holds one (ext, b, off) per extension pattern ext whose
-        leftover internal degree b has standard ground monomials; its words
-        s * ext, s over the standard monomials of degree b, sit at
+        blocks holds one (ext, b, off) per extension pattern ext of
+        homological degree n whose internal degree i is at most d and whose
+        leftover internal degree b = d - i has standard ground monomials;
+        its words s * ext, s over the standard monomials of degree b, sit at
         coordinates off, off + 1, ...  index maps each ext to its block.
+        The blocks are a filter over the patterns of degree n enumerated
+        once up to the tower's internal bound (d itself for an unbounded
+        tower): a larger bound only adds exponent branches, so the kept
+        patterns come in the same order as an enumeration up to d.
         """
         if n < 0 or d < 0:
             return (), {}, 0
@@ -341,10 +349,30 @@ class ExtensionTower:
         layout = self._cache.get(key)
         if layout is not None:
             return layout
+        cap = d if self.dmax is None else self.dmax
+        pkey = ("patterns", n, cap)
+        patterns = self._cache.get(pkey)
+        if patterns is None:
+            patterns = self._cache[pkey] = self._patterns(n, cap)
+        widths = [len(self.ground.quotient_basis(b)) for b in range(d + 1)]
         blocks = []
+        size = 0
+        for ext, i in patterns:
+            if i <= d and (width := widths[d - i]):
+                blocks.append((ext, d - i, size))
+                size += width
+        layout = (tuple(blocks), {blk[0]: blk for blk in blocks}, size)
+        self._cache[key] = layout
+        return layout
+
+    def _patterns(self, n, cap):
+        """Extension patterns of homological degree n and internal degree
+        at most cap, as (ext, internal degree) in the enumeration order."""
+        if not n:
+            return (((), 0),)
+        out = []
         variables = self.variables
         hdegs = [v.hdeg for v in variables]
-        widths = [len(self.ground.quotient_basis(b)) for b in range(d + 1)]
 
         def rec(i, h, dd, acc):
             # the next factor is v_j^e for some j >= i with hdeg <= h (hdeg
@@ -352,27 +380,18 @@ class ExtensionTower:
             # that use it, so j runs down, and the depth is the factor count
             for j in range(bisect_right(hdegs, h) - 1, i - 1, -1):
                 v = variables[j]
-                cap = 1 if v.flavor == EXTERIOR else h // v.hdeg
-                for e in range(1, min(cap, dd // v.ideg) + 1):
+                top = 1 if v.flavor == EXTERIOR else h // v.hdeg
+                for e in range(1, min(top, dd // v.ideg) + 1):
                     acc.append((j, e))
                     hh, rest = h - e * v.hdeg, dd - e * v.ideg
                     if hh:
                         rec(j + 1, hh, rest, acc)
-                    elif widths[rest]:
-                        blocks.append((tuple(acc), rest))
+                    else:
+                        out.append((tuple(acc), cap - rest))
                     acc.pop()
 
-        if n:
-            rec(0, n, d, [])
-        elif widths[d]:
-            blocks.append(((), d))
-        size = 0
-        for k, (ext, b) in enumerate(blocks):
-            blocks[k] = (ext, b, size)
-            size += widths[b]
-        layout = (tuple(blocks), {blk[0]: blk for blk in blocks}, size)
-        self._cache[key] = layout
-        return layout
+        rec(0, n, cap, [])
+        return tuple(out)
 
     def _shift(self, mono, b):
         """Shift table of a ground monomial on degree b: row i holds the

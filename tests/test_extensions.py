@@ -257,6 +257,23 @@ def test_piece_matches_brute_force(name):
                 assert t.piece(n, d) == brute_force_piece(t, n, d), (t.flavor, n, d)
 
 
+@pytest.mark.parametrize("dmax", [None, 8])
+@pytest.mark.parametrize("flavor", ["plain", "gamma"])
+def test_pieces_follow_interleaved_adjoins(flavor, dmax):
+    # every piece is read between adjoins, so the cache holds pattern lists
+    # and layouts when the next variable arrives: its hdeg lies below cached
+    # homological degrees, and its ideg above some cached caps (each read d
+    # for an unbounded tower, dmax, which one variable exceeds, otherwise)
+    g = ground_poly(["x^2", "y^3"])
+    t = ExtensionTower(g, flavor, nmax=5, dmax=dmax)
+    for name, hdeg, ideg in [("a", 1, 1), ("b", 1, 2), ("c", 2, 3), ("d", 2, 1),
+                             ("e", 3, 7), ("f", 3, 9), ("g", 4, 2)]:
+        t.adjoin(name, hdeg, ideg, None)
+        for n in range(7):
+            for d in range(9):
+                assert t.piece(n, d) == brute_force_piece(t, n, d), (name, n, d)
+
+
 def test_deep_closure_betti_numbers_match_closed_form():
     # the stage-14 pieces sit behind about 1400 closure variables, and
     # enumeration recurses once per factor of a word, not per variable:

@@ -1,14 +1,16 @@
 """Koszul complexes, homology dimensions, and staged tower construction."""
 
+import collections
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 import tatelab
-from tatelab import linalg, resolution
+from tatelab import cli, linalg, resolution
 from tatelab.audits import build_layer_chain
-from tatelab.extensions import DIVIDED, POLYNOMIAL, Element
+from tatelab.extensions import DIVIDED, POLYNOMIAL, Element, ExtensionTower
 from tatelab.fields import PrimeField, QQ
 from tatelab.presentations import Presentation, parse_presentation
 from tatelab.resolution import (ResolutionError, build_acyclic_closure,
@@ -16,7 +18,7 @@ from tatelab.resolution import (ResolutionError, build_acyclic_closure,
                                 koszul_complex, koszul_on_minimal_generators,
                                 minimal_generators)
 
-from conftest import NONUNIT_Q, homology_dim, load_doc, load_pres
+from conftest import CATALOG, NONUNIT_Q, homology_dim, load_doc, load_pres
 
 
 def P(relators, variables=(("x", 1), ("y", 1)), field=QQ, base_relators=None):
@@ -584,14 +586,39 @@ def test_kernel_vectors_solved_only_for_new_generators(monkeypatch, kernel_calls
 @pytest.mark.parametrize("build, name", GUARDED,
                          ids=lambda x: getattr(x, "__name__", x))
 def test_cached_pieces_match_a_fresh_enumeration(build, name):
-    # adjoin drops only the pieces a new variable reaches; whatever it keeps
-    # must still be what an empty cache enumerates
+    # adjoin drops only the pattern lists and layouts a new variable
+    # reaches; whatever it keeps must still be what an empty cache enumerates
     t = build(load_pres(name), 5, 10)
     cached = dict(t._cache)
-    assert cached and all(key[0] == "layout" for key in cached)
-    t._cache.clear()
+    assert {key[0] for key in cached} == {"patterns", "layout"}
+    fresh = {"patterns": t._patterns, "layout": t._layout}
     for (kind, n, d), value in cached.items():
-        assert t._layout(n, d) == value, (kind, n, d)
+        t._cache.clear()
+        assert fresh[kind](n, d) == value, (kind, n, d)
+
+
+def test_patterns_enumerated_once_per_degree_and_stage(monkeypatch, capsys):
+    # the closure job deviations --N 10 on m2zero_f2 lays out 3854 blocks of
+    # positive homological degree; a stage enumerates each degree's patterns
+    # at most once, up to D, and every layout of that degree filters the list
+    enumerations = collections.Counter()
+    leaves = 0
+    patterns = ExtensionTower._patterns
+
+    def counted(tower, n, cap):
+        nonlocal leaves
+        out = patterns(tower, n, cap)
+        enumerations[(tower.variables[-1].hdeg, n)] += 1
+        leaves += len(out)
+        return out
+
+    monkeypatch.setattr(ExtensionTower, "_patterns", counted)
+    code = cli.main(["deviations", "--input", os.path.join(CATALOG, "m2zero_f2.json"),
+                     "--N", "10"])
+    capsys.readouterr()
+    assert code == 0
+    assert enumerations and max(enumerations.values()) == 1, enumerations
+    assert leaves < 3854
 
 
 # -- generator selection in free cycle coordinates ------------------------------
