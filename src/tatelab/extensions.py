@@ -33,7 +33,9 @@ Conventions fixed once and for all:
     scalar) pairs.  A differential fills block X from d(1*X), the only
     word differential cached, by shifting each of its terms, and
     ``times_monomial`` (the builders' generator multiples) reads the same
-    tables.
+    tables;
+  * ``kernel(n, d)`` keeps the free columns of the kernel it takes, and
+    the kernel out of (n + 1, d) eliminates only its rows there.
 
 Words are pairs (mono, ext) with mono a standard ground monomial and ext
 a tuple of (variable index, exponent) pairs sorted by index.
@@ -205,7 +207,9 @@ class ExtensionTower:
         var = ExtensionVariable(name, hdeg, ideg, flavor, dval, len(self.variables))
         self.variables.append(var)
         # a variable of bidegree (h, i) adds words only to pieces (n, d)
-        # with n >= h and d >= i; every other piece keeps its words
+        # with n >= h and d >= i; every other piece keeps its words, and
+        # the differential out of it, whose free list is keyed (n, d),
+        # keeps its target (n - 1, d)
         for key in [k for k in self._cache if k[1] >= hdeg and k[2] >= ideg]:
             del self._cache[key]
         return var
@@ -460,6 +464,21 @@ class ExtensionTower:
                 cols += [{off + j: c for off, c, rows in terms for j, _ in rows[i]}
                          for i in width]
         return cols, nrows
+
+    def kernel(self, n, d):
+        """``linalg.Kernel`` of the differential out of (n, d), eliminating
+        only its rows at the free columns of the last kernel taken out of
+        (n - 1, d), or all rows when there is none.
+
+        d_{n-1} d_n = 0, so those rows have the kernel of the whole matrix;
+        once H_{n-1} is killed through the bound they are a row basis.  The
+        free list is kept under ("free", n, d) for the kernel out of
+        (n + 1, d), and ``adjoin`` drops it with the piece (n, d).
+        """
+        cols, nrows = self.matrix(n, d)
+        kernel = linalg.Kernel(cols, nrows, self.field, self._cache.get(("free", n - 1, d)))
+        self._cache[("free", n, d)] = kernel.free
+        return kernel
 
     def solved(self, n, d):
         """Canonical kernel basis of the differential out of (n, d), uncached."""

@@ -12,10 +12,15 @@ one only where the lead does not divide an entry.  A row form vector is
 a nonzero scalar multiple of the field vector it stands for, so every
 lead index and rank is the one plain field arithmetic would give.
 
-A kernel takes one forward elimination of the matrix's rows and no
-reduced echelon form: ``Kernel.vector`` back-solves the canonical kernel
-vector of one free column on demand, so a caller that needs only a few
-of them pays for only those.
+A kernel takes one forward elimination and no reduced echelon form:
+``Kernel.vector`` back-solves the canonical kernel vector of one free
+column on demand, so a caller that needs only a few of them pays for only
+those.  The elimination reads the rows a caller names, all rows by
+default.  A differential d_q of a complex names its rows at the free
+columns of d_{q-1}: d^2 = 0 puts every column of d_q in the kernel of
+d_{q-1}, whose vectors are fixed by their free coordinates, so those rows
+cut out the kernel of d_q; where H_{q-1} = 0 they are a row basis and
+every one of them adds a pivot.
 """
 
 from bisect import bisect
@@ -86,26 +91,33 @@ def rref(vectors, field):
     return pivots, {j: field.from_row(reduced[j], j) for j in pivots}
 
 
-def transpose(cols, nrows):
-    rows = {}
+def transpose(cols, rows):
+    """The rows of a matrix given by sparse columns, one per index in rows,
+    in that order."""
+    out = {i: {} for i in rows}
     for j, col in enumerate(cols):
         for i, c in col.items():
-            rows.setdefault(i, {})[j] = c
-    return [rows.get(i, {}) for i in range(nrows)]
+            row = out.get(i)
+            if row is not None:
+                row[j] = c
+    return list(out.values())
 
 
 class Kernel:
     """Kernel of a matrix (sparse columns, row count), from one forward
-    elimination of its rows.
+    elimination of the rows listed in ``rows``, all of them when None.
 
-    ``free`` lists the non-pivot columns ascending; each has one canonical
-    kernel vector, 1 at it and 0 at the other free columns, which
-    ``vector`` solves when asked.
+    A caller that lists some rows only vouches that they have the kernel
+    of the whole matrix; the rows of a differential d_q at the free
+    columns of d_{q-1} do (module docstring).  ``free`` lists the
+    non-pivot columns ascending; each has one canonical kernel vector, 1
+    at it and 0 at the other free columns, which ``vector`` solves when
+    asked.  Both depend on the kernel alone, not on the rows read.
     """
 
-    def __init__(self, cols, nrows, field):
+    def __init__(self, cols, nrows, field, rows=None):
         ech = Echelon(field)
-        for row in transpose(cols, nrows):
+        for row in transpose(cols, range(nrows) if rows is None else rows):
             ech.add(row)
         self.field = field
         self.rows = ech.rows

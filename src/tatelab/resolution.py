@@ -10,11 +10,16 @@ ascending by internal degree, a new generator is anything outside
 boundaries + ground-monomial multiples of the generators found in lower
 degrees), and adjoins one variable per generator with that cycle as
 differential value.  Boundaries are the columns of d_n as they stand, so a
-stage eliminates one differential, d_{n-1}, per internal degree, forward
-only, and a degree with no cycles costs that elimination alone.
-Boundaries and multiples are reduced only in the free coordinates of the
-kernel of d_{n-1}, which fix a cycle, and only until they span all of
-them; kernel vectors are solved only for the new generators.
+stage takes one kernel, of d_{n-1}, per internal degree, forward only, and
+a degree with no cycles costs that kernel alone.  From stage 3 on, the
+kernel eliminates only the rows of d_{n-1} at the free columns of d_{n-2}
+that the stage before found (``ExtensionTower.kernel``): d^2 = 0 makes
+them cut out the same kernel, and since stage n-1 killed H_{n-2} through
+the bound they are a row basis, so each row eliminated adds a pivot.
+Stage 2 eliminates every row of d_1.  Boundaries and
+multiples are reduced only in the free coordinates of the kernel of
+d_{n-1}, which fix a cycle, and only until they span all of them; kernel
+vectors are solved only for the new generators.
 
 All reported counts are certified only through the internal-degree
 bound D: homology generators of internal degree > D are invisible.
@@ -93,15 +98,19 @@ def minimal_generators(tower, q, D):
     reduced in free coordinates alone, with leads at the highest free
     column, and the kernel vectors kept are those whose free column is not
     a lead: the same cycles, in the same order, that a greedy complement of
-    ascending kernel vectors on full coordinates picks.  d_q is eliminated
-    forward once, and kernel vectors are solved only for the new
-    generators.  A degree without cycles reads no boundaries, and
-    reduction stops once the span fills every free coordinate.
+    ascending kernel vectors on full coordinates picks.  The kernel of d_q
+    is one forward elimination of its rows at the free columns of d_{q-1}
+    that the stage before found, of all rows for q = 1
+    (``ExtensionTower.kernel``): with d^2 = 0 they fix the same kernel, and
+    with H_{q-1} killed through D they are a row basis of d_q.  Kernel
+    vectors are solved only for the new generators.  A degree without
+    cycles reads no boundaries, and reduction stops once the span fills
+    every free coordinate.
     """
     ground = tower.ground
     gens = []
     for d in range(0, D + 1):
-        kernel = linalg.Kernel(*tower.matrix(q, d), tower.field)
+        kernel = tower.kernel(q, d)
         if not kernel.free:
             continue
         # free column -> position, highest first

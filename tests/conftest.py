@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from tatelab import parse_presentation
+from tatelab import linalg, parse_presentation
 
 CATALOG = os.path.join(os.path.dirname(__file__), "..", "catalog")
 
@@ -34,6 +34,30 @@ def homology_dim(t, n, d):
     """dim H_n of tower t in internal degree d: cycles minus boundaries,
     the rank of d_{n+1} being its source dimension minus its nullity."""
     return len(t.solved(n, d)) - (len(t.piece(n + 1, d)) - len(t.solved(n + 1, d)))
+
+
+def check_kernel(t, n, d, got):
+    """Check the free columns and every canonical vector of kernel got of
+    the differential out of (n, d) against a ``linalg.Kernel`` of all its
+    rows, and return that kernel."""
+    want = linalg.Kernel(*t.matrix(n, d), t.field)
+    assert got.free == want.free, (n, d)
+    for f in want.free:
+        assert got.vector(f) == want.vector(f), (n, d, f)
+    return want
+
+
+def check_kernels(t, nmax, D):
+    """``check_kernel`` on ``t.kernel(n, d)`` for every piece (n, d) of
+    tower t, n = 1..nmax ascending.  Returns [(n, d, rows named, rank)],
+    rows named being the free list below or None for all rows."""
+    taken = []
+    for n in range(1, nmax + 1):
+        for d in range(D + 1):
+            rows = t._cache.get(("free", n - 1, d))
+            want = check_kernel(t, n, d, t.kernel(n, d))
+            taken.append((n, d, rows, len(want.pivots)))
+    return taken
 
 
 @pytest.fixture(scope="session")

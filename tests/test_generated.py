@@ -1,4 +1,5 @@
-"""Both routes and the syzygy oracle on generated presentations.
+"""Both routes, the syzygy oracle and every kernel taken from the free
+columns below against all rows, on generated presentations.
 
 Hypothesis draws small graded rings beyond the catalog: 2-3 variables of
 weight 1-2 and 1-3 homogeneous monomial or binomial relators of degree
@@ -16,6 +17,7 @@ from tatelab.invariants import betti_numbers
 from tatelab.presentations import parse_presentation
 from tatelab.resolution import build_acyclic_closure, build_minimal_model
 
+from conftest import check_kernels
 from oracles import betti_oracle
 
 N, D = 4, 6
@@ -76,6 +78,8 @@ def test_routes_and_oracle_agree_on_generated_rings(doc):
     assert betti_numbers(pres, N, D).counts == betti_oracle(doc, N, D)
     assert_d_squared_zero(closure, N + 1)
     assert_d_squared_zero(model, N)
+    check_kernels(closure, N + 1, D)
+    check_kernels(model, N, D)
 
 
 def invariants(doc):

@@ -1,6 +1,7 @@
 """Koszul complexes, homology dimensions, and staged tower construction."""
 
 import collections
+import json
 import os
 import random
 from fractions import Fraction
@@ -18,7 +19,9 @@ from tatelab.resolution import (ResolutionError, build_acyclic_closure,
                                 koszul_complex, koszul_on_minimal_generators,
                                 minimal_generators)
 
-from conftest import CATALOG, NONUNIT_Q, homology_dim, load_doc, load_pres
+from conftest import (CATALOG, NONUNIT_Q, SINGLE_INSTANCES, check_kernel,
+                      check_kernels, homology_dim, load_doc, load_pres)
+from oracles import deviations_from_betti
 
 
 def P(relators, variables=(("x", 1), ("y", 1)), field=QQ, base_relators=None):
@@ -586,12 +589,14 @@ def test_kernel_vectors_solved_only_for_new_generators(monkeypatch, kernel_calls
 @pytest.mark.parametrize("build, name", GUARDED,
                          ids=lambda x: getattr(x, "__name__", x))
 def test_cached_pieces_match_a_fresh_enumeration(build, name):
-    # adjoin drops only the pattern lists and layouts a new variable
-    # reaches; whatever it keeps must still be what an empty cache enumerates
+    # adjoin drops only the pattern lists, layouts and kernel free lists a
+    # new variable reaches; whatever it keeps must still be what an empty
+    # cache computes, a free list from all rows of the differential
     t = build(load_pres(name), 5, 10)
     cached = dict(t._cache)
-    assert {key[0] for key in cached} == {"patterns", "layout"}
-    fresh = {"patterns": t._patterns, "layout": t._layout}
+    assert {key[0] for key in cached} == {"patterns", "layout", "free"}
+    fresh = {"patterns": t._patterns, "layout": t._layout,
+             "free": lambda n, d: linalg.Kernel(*t.matrix(n, d), t.field).free}
     for (kind, n, d), value in cached.items():
         t._cache.clear()
         assert fresh[kind](n, d) == value, (kind, n, d)
@@ -619,6 +624,117 @@ def test_patterns_enumerated_once_per_degree_and_stage(monkeypatch, capsys):
     assert code == 0
     assert enumerations and max(enumerations.values()) == 1, enumerations
     assert leaves < 3854
+
+
+# -- kernels from the free columns of the differential below --------------------
+
+@pytest.mark.parametrize("build", TOWER_KINDS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize("name", SINGLE_INSTANCES)
+def test_kernels_from_free_rows_match_all_rows(monkeypatch, name, build):
+    # every kernel a builder takes, each from the rows at the free columns
+    # of the differential below, has the free columns and canonical vectors
+    # of the kernel of all rows; so do the kernels out of the top stages,
+    # where the homology below is not killed
+    N, D = 5, 10
+    taken = []
+    kernel = ExtensionTower.kernel
+
+    def checked(tower, n, d):
+        got = kernel(tower, n, d)
+        check_kernel(tower, n, d, got)
+        taken.append((n, d))
+        return got
+
+    monkeypatch.setattr(ExtensionTower, "kernel", checked)
+    t = build(load_pres(name), N, D)
+    monkeypatch.undo()
+    check_kernels(t, N + 1, D)
+    assert len(taken) == (N - 1) * (D + 1)
+
+
+def test_koszul_kernels_from_free_rows_match_all_rows():
+    # H_1 of the Koszul complex on x^2, xy, y^2 is not zero, so some rows
+    # at the free columns of d_1 are dependent; they still give the kernel
+    t = koszul_complex(load_pres("m2zero_q"), 8)
+    taken = check_kernels(t, 3, 8)
+    assert any(rows is not None and len(rows) > rank for _, _, rows, rank in taken)
+
+
+def test_adjoin_drops_the_free_lists_it_reaches():
+    # builders take a kernel only once the variables below it are in; a
+    # variable adjoined after a kernel was taken must drop the free lists
+    # of the pieces it reaches, or the kernels above would read stale rows
+    t = koszul_complex(load_pres("m2zero_q"), 8)
+    check_kernels(t, 3, 8)
+    d, z = minimal_generators(t, 1, 8)[0]
+    t.adjoin("w", 2, d, z)
+    for (kind, n, e), value in list(t._cache.items()):
+        if kind == "free":
+            assert value == linalg.Kernel(*t.matrix(n, e), t.field).free, (n, e)
+    for e in range(9):
+        check_kernel(t, 3, e, t.kernel(3, e))
+
+
+def kernel_row_adds(monkeypatch):
+    """[(q, rows eliminated, rank)] of every kernel minimal_generators takes
+    for stage q + 1, filled as the builders run."""
+    stats = []
+    stage = [None]
+    adds = [0]
+    select, init, add = (resolution.minimal_generators, linalg.Kernel.__init__,
+                         linalg.Echelon.add)
+
+    def staged(tower, q, D):
+        stage[0] = q
+        return select(tower, q, D)
+
+    def counting_init(self, *args):
+        before = adds[0]
+        init(self, *args)
+        stats.append((stage[0], adds[0] - before, len(self.pivots)))
+
+    def counting_add(self, v):
+        adds[0] += 1
+        return add(self, v)
+
+    monkeypatch.setattr(resolution, "minimal_generators", staged)
+    monkeypatch.setattr(linalg.Kernel, "__init__", counting_init)
+    monkeypatch.setattr(linalg.Echelon, "add", counting_add)
+    return stats
+
+
+@pytest.mark.parametrize("build, name", GUARDED,
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_builder_kernels_eliminate_a_row_basis(monkeypatch, build, name):
+    # stage q killed H_{q-1} through D, so the rows of d_q at the free
+    # columns of d_{q-1} are a row basis: each row eliminated adds a pivot
+    stats = kernel_row_adds(monkeypatch)
+    build(load_pres(name), 6, 10)
+    assert stats and all(adds == rank for q, adds, rank in stats if q >= 2), stats
+
+
+def test_model_job_kernels_eliminate_few_rows(monkeypatch, capsys):
+    # the perfbench model_q minimal-model job: its kernels eliminate 1682
+    # rows for rank 1679 (the 3 extra in d_1, whose rows are all read);
+    # every row of every d_q would be 2693
+    stats = kernel_row_adds(monkeypatch)
+    code = cli.main(["deviations", "--route", "minimal-model", "--N", "8",
+                     "--input", os.path.join(CATALOG, "m2zero_q.json")])
+    capsys.readouterr()
+    assert code == 0
+    assert sum(adds for _, adds, _ in stats) <= 1682
+
+
+def test_deep_model_route_matches_the_betti_oracle(capsys):
+    # m^2 = 0 in k[x, y] has b_n = 2^n; the model route through N = 10
+    # must give the deviations eps_2..eps_10 the product formula reads off them
+    code = cli.main(["deviations", "--route", "minimal-model", "--N", "10",
+                     "--D", "12", "--input", os.path.join(CATALOG, "m2zero_q.json"),
+                     "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    got = [doc["deviations"][str(n)]["count"] for n in range(2, 11)]
+    assert got == deviations_from_betti([2 ** n for n in range(11)], 10)[1:]
 
 
 # -- generator selection in free cycle coordinates ------------------------------
