@@ -130,16 +130,6 @@ def build_layer_chain(docs):
     return tuple(pres)
 
 
-def _ideal_span_ranks(ground, gens_a, gens_b, D):
-    """Per-degree ranks of span(a), span(b), span(a+b) inside the ground ring."""
-    out = []
-    for d in range(D + 1):
-        ra, rb = ground.ideal_span(gens_a, d), ground.ideal_span(gens_b, d)
-        out.append(tuple(len(linalg.rref(rows, ground.field)[0])
-                         for rows in (ra, rb, ra + rb)))
-    return out
-
-
 def verify_regular_witness(r_pres, s_pres, witness_polys, D):
     """Check a declared regular sequence generating ker(R ->> S).
 
@@ -166,16 +156,18 @@ def verify_regular_witness(r_pres, s_pres, witness_polys, D):
             raise AuditError("witness verification failed: %r is not homogeneous"
                              % (text,))
         wits.append(g)
-    # the relators beyond R, reduced in R, span the kernel in every degree
-    kernel = [g for g in map(r_pres.from_int_poly,
-                             s_pres.relators[len(r_pres.relators):]) if g]
-    for d, (ra, rb, rab) in enumerate(_ideal_span_ranks(r_pres, wits, kernel, D)):
-        if not (ra == rb == rab):
+    # the witness ideal lies in the kernel once every witness vanishes in S,
+    # and then fills it in degree d when its rank there is dim R_d - dim S_d
+    degrees = [r_pres.degree_of(next(iter(g))) for g in wits]
+    outside = {e for e, g in zip(degrees, wits) if s_pres.normal_form(g)}
+    hilb_r, hilb_s = r_pres.hilbert(D), s_pres.hilbert(D)
+    for d in range(D + 1):
+        if d in outside or (len(linalg.rref(r_pres.ideal_span(wits, d), r_pres.field)[0])
+                            != hilb_r[d] - hilb_s[d]):
             raise AuditError(
                 "witness verification failed: witness ideal and kernel ideal "
                 "differ in internal degree %d" % d)
-    degrees = [r_pres.degree_of(next(iter(g))) for g in wits]
-    if hilbert_product(r_pres, degrees, D) != s_pres.hilbert(D):
+    if hilbert_product(r_pres, degrees, D) != hilb_s:
         raise AuditError(
             "witness verification failed: Hilbert series of the quotient does "
             "not match the regular-sequence product through degree %d" % D)

@@ -32,7 +32,7 @@ Conventions fixed once and for all:
     for each standard s of degree b, the reduced s*m as (basis index,
     scalar) pairs.  A differential fills block X from d(1*X), the only
     word differential cached, by shifting each of its terms, and
-    ``times_monomial`` (the builders' generator multiples) reads the same
+    ``times_monomial`` (d(m*X) for a word with m != 1) reads the same
     tables;
   * ``kernel(n, d)`` keeps the free columns of the kernel it takes, and
     the kernel out of (n + 1, d) eliminates only its rows there.
@@ -157,9 +157,10 @@ class Element:
 class ExtensionTower:
     """Ground presentation plus adjoined variables, with cached piece data.
 
-    Towers are frozen once their builder returns them; ``adjoin`` is the
-    builders' constructor step and drops exactly the cached pieces a new
-    variable can touch.
+    Towers are frozen once their builder returns them, unless a caller
+    hands one to ``resolution.minimal_generators``, which adjoins the next
+    stage; ``adjoin`` is the builders' constructor step and drops exactly
+    the cached pieces a new variable can touch.
     """
 
     def __init__(self, ground, flavor, nmax=None, dmax=None):
@@ -470,8 +471,13 @@ class ExtensionTower:
         only its rows at the free columns of the last kernel taken out of
         (n - 1, d), or all rows when there is none.
 
-        d_{n-1} d_n = 0, so those rows have the kernel of the whole matrix;
-        once H_{n-1} is killed through the bound they are a row basis.  The
+        Those rows have the kernel of the whole matrix in any tower:
+        d_{n-1} d_n = 0 puts every column of d_n in the kernel of d_{n-1},
+        and a vector of that kernel is zero when it is zero at the free
+        columns.  Read at those columns, the image of d_n fills every
+        coordinate, so the rows are independent, exactly where H_{n-1} = 0
+        in degree d.  A builder kills H_{n-1} through the bound before it
+        takes this kernel, so there each row eliminated adds a pivot.  The
         free list is kept under ("free", n, d) for the kernel out of
         (n + 1, d), and ``adjoin`` drops it with the piece (n, d).
         """

@@ -16,11 +16,7 @@ A kernel takes one forward elimination and no reduced echelon form:
 ``Kernel.vector`` back-solves the canonical kernel vector of one free
 column on demand, so a caller that needs only a few of them pays for only
 those.  The elimination reads the rows a caller names, all rows by
-default.  A differential d_q of a complex names its rows at the free
-columns of d_{q-1}: d^2 = 0 puts every column of d_q in the kernel of
-d_{q-1}, whose vectors are fixed by their free coordinates, so those rows
-cut out the kernel of d_q; where H_{q-1} = 0 they are a row basis and
-every one of them adds a pivot.
+default.
 """
 
 from bisect import bisect
@@ -107,12 +103,12 @@ class Kernel:
     """Kernel of a matrix (sparse columns, row count), from one forward
     elimination of the rows listed in ``rows``, all of them when None.
 
-    A caller that lists some rows only vouches that they have the kernel
-    of the whole matrix; the rows of a differential d_q at the free
-    columns of d_{q-1} do (module docstring).  ``free`` lists the
-    non-pivot columns ascending; each has one canonical kernel vector, 1
-    at it and 0 at the other free columns, which ``vector`` solves when
-    asked.  Both depend on the kernel alone, not on the rows read.
+    A caller that lists some rows vouches that they have the kernel of
+    the whole matrix (``ExtensionTower.kernel`` says why its rows do).
+    ``free`` lists the non-pivot columns ascending; each has one canonical
+    kernel vector, 1 at it and 0 at the other free columns, which
+    ``vector`` solves when asked.  Both depend on the kernel alone, not on
+    the rows read.
     """
 
     def __init__(self, cols, nrows, field, rows=None):

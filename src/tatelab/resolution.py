@@ -2,30 +2,18 @@
 
 The staged constructions follow one recipe.  Stage 1 adjoins exterior
 variables (killing the ring variables for a closure, a minimal
-generating set of the kernel ideal for a model).  Stage n >= 2 computes
-the homology of the current tower in homological degree n-1 through the
-internal-degree bound, picks cycle representatives whose classes
-minimally generate it as a module over the ground ring (graded Nakayama:
-ascending by internal degree, a new generator is anything outside
-boundaries + ground-monomial multiples of the generators found in lower
-degrees), and adjoins one variable per generator with that cycle as
-differential value.  Boundaries are the columns of d_n as they stand, so a
-stage takes one kernel, of d_{n-1}, per internal degree, forward only, and
-a degree with no cycles costs that kernel alone.  From stage 3 on, the
-kernel eliminates only the rows of d_{n-1} at the free columns of d_{n-2}
-that the stage before found (``ExtensionTower.kernel``): d^2 = 0 makes
-them cut out the same kernel, and since stage n-1 killed H_{n-2} through
-the bound they are a row basis, so each row eliminated adds a pivot.
-Stage 2 eliminates every row of d_1.  Boundaries and
-multiples are reduced only in the free coordinates of the kernel of
-d_{n-1}, which fix a cycle, and only until they span all of them; kernel
-vectors are solved only for the new generators.
+generating set of the kernel ideal for a model).  ``minimal_generators``
+builds each later stage n one internal degree at a time: in degree d it
+picks the cycles of homological degree n-1 whose classes the boundaries
+miss and adjoins one variable per pick at once, with that cycle as its
+differential value.  A variable y with d(y) = g makes every multiple s*g
+a boundary, d(s*y), in the degrees above, so the boundaries alone carry
+graded Nakayama's decomposables and the picks minimally generate the
+homology as a module over the ground ring.
 
 All reported counts are certified only through the internal-degree
 bound D: homology generators of internal degree > D are invisible.
 """
-
-from itertools import chain
 
 from . import linalg
 from .extensions import ExtensionTower
@@ -83,31 +71,36 @@ def koszul_on_minimal_generators(pres, D=None):
     return tower
 
 
+def _variable_name(tower, n, i):
+    """Name of the i-th variable (from 1) of stage n: x{n}_{i} in a gamma
+    tower, y{n}_{i} in a plain one."""
+    return "%s%d_%d" % ("x" if tower.flavor == "gamma" else "y", n, i)
+
+
 def minimal_generators(tower, q, D):
-    """Cycle lifts of a minimal generating set of H_q over the ground ring.
+    """Cycle lifts of a minimal generating set of H_q over the ground ring,
+    each adjoined to tower as a stage-(q + 1) variable as soon as it is found.
 
     Scans internal degrees 0..D ascending; in degree d the new generators
-    are a complement basis, inside the cycle space, of the boundaries
-    (the columns of the differential out of (q+1, d), unsolved) plus the
-    multiples s*g of the generators g found below d by the standard ground
-    monomials s of degree d - deg(g).  Returns [(d, Element)].
+    are a complement basis, inside the cycle space, of the boundaries: the
+    columns of the differential out of (q + 1, d), unsolved.  They include
+    the columns s*y of the variables y adjoined below d, and d(s*y) = s*g
+    for d(y) = g, so the multiples of the generators found below d are
+    boundaries.  Returns [(d, Element)]; the tower gains one variable per
+    entry, in that order, named by ``_variable_name``, of bidegree (q + 1, d)
+    with the entry's cycle as differential value.
 
     A cycle is fixed by its coordinates at the free columns of d_q, and the
     canonical kernel vector of free column f is 1 at f, 0 at the other free
-    columns and supported below f.  So the boundaries and multiples are
-    reduced in free coordinates alone, with leads at the highest free
-    column, and the kernel vectors kept are those whose free column is not
-    a lead: the same cycles, in the same order, that a greedy complement of
-    ascending kernel vectors on full coordinates picks.  The kernel of d_q
-    is one forward elimination of its rows at the free columns of d_{q-1}
-    that the stage before found, of all rows for q = 1
-    (``ExtensionTower.kernel``): with d^2 = 0 they fix the same kernel, and
-    with H_{q-1} killed through D they are a row basis of d_q.  Kernel
-    vectors are solved only for the new generators.  A degree without
-    cycles reads no boundaries, and reduction stops once the span fills
-    every free coordinate.
+    columns and supported below f.  So the boundaries are reduced in free
+    coordinates alone, with leads at the highest free column, and the
+    kernel vectors kept are those whose free column is not a lead: the
+    same cycles, in the same order, that a greedy complement of ascending
+    kernel vectors on full coordinates picks.  Kernel vectors are solved
+    only for the new generators.  A degree without cycles reads no
+    boundaries, and reduction stops once the span fills every free
+    coordinate.
     """
-    ground = tower.ground
     gens = []
     for d in range(0, D + 1):
         kernel = tower.kernel(q, d)
@@ -117,30 +110,30 @@ def minimal_generators(tower, q, D):
         nfree = len(kernel.free)
         pos = {f: nfree - 1 - i for i, f in enumerate(kernel.free)}
         sub = linalg.Echelon(tower.field)
-        multiples = (tower.coords(tower.times_monomial(g, s), q, d)
-                     for e, g in gens for s in ground.quotient_basis(d - e))
-        for v in chain(tower.matrix(q + 1, d)[0], multiples):
+        for v in tower.matrix(q + 1, d)[0]:
             sub.add({pos[k]: c for k, c in v.items() if k in pos})
             if len(sub.rows) == nfree:
                 break
-        gens += [(d, tower.element(kernel.vector(f), q, d)) for f in kernel.free
-                 if pos[f] not in sub.rows]
+        for f in kernel.free:
+            if pos[f] not in sub.rows:
+                z = tower.element(kernel.vector(f), q, d)
+                gens.append((d, z))
+                tower.adjoin(_variable_name(tower, q + 1, len(gens)), q + 1, d, z)
     return gens
 
 
-def _build_stages(ground, flavor, prefix, stage1, N, D):
-    """Tower over ground through stage N and internal degree D, variables
-    named prefix{n}_{i}: stage 1 kills the reduced ground elements of
-    stage1, [(degree, element)], and stage n kills minimal generators of
-    H_{n-1}."""
+def _build_stages(ground, flavor, stage1, N, D):
+    """Tower over ground through stage N and internal degree D: stage 1
+    kills the reduced ground elements of stage1, [(degree, element)], and
+    ``minimal_generators`` adjoins stage n, which kills minimal generators
+    of H_{n-1}."""
     if N < 1:
         raise ResolutionError("stage bound must be >= 1")
     tower = ExtensionTower(ground, flavor, nmax=N, dmax=D)
     for i, (d, g) in enumerate(stage1):
-        tower.adjoin("%s1_%d" % (prefix, i + 1), 1, d, tower.ground_element(g))
-    for n in range(2, N + 1):
-        for i, (d, z) in enumerate(minimal_generators(tower, n - 1, D)):
-            tower.adjoin("%s%d_%d" % (prefix, n, i + 1), n, d, z)
+        tower.adjoin(_variable_name(tower, 1, i + 1), 1, d, tower.ground_element(g))
+    for q in range(1, N):
+        minimal_generators(tower, q, D)
     return tower
 
 
@@ -151,7 +144,7 @@ def build_minimal_model(pres, N, D):
     set of the kernel ideal; stage n kills minimal generators of H_{n-1}.
     The differential is decomposable by construction.
     """
-    return _build_stages(pres.free_base(), "plain", "y", kernel_generators(pres), N, D)
+    return _build_stages(pres.free_base(), "plain", kernel_generators(pres), N, D)
 
 
 def build_acyclic_closure(pres, N, D):
@@ -165,4 +158,4 @@ def build_acyclic_closure(pres, N, D):
     nvars = len(pres.names)
     variables = [(w, {tuple(int(k == i) for k in range(nvars)): pres.field.one})
                  for i, (_, w) in enumerate(pres.variables)]
-    return _build_stages(pres, "gamma", "x", variables, N, D)
+    return _build_stages(pres, "gamma", variables, N, D)

@@ -1,15 +1,19 @@
 """Theorem audits on concrete instances."""
 
+import collections
 import json
+import random
 
 import pytest
 
-from tatelab import audits, invariants, resolution
+from tatelab import audits, invariants, linalg, resolution
 from tatelab.audits import (AuditError, build_layer_chain, ci_vanishing_audit,
                             growth_probe, jacobi_zariski_audit,
                             rigidity_audit, verify_regular_witness)
 from tatelab.cli import main
+from tatelab.fields import field_from_spec
 from tatelab.invariants import ci_check
+from tatelab.presentations import Presentation, PresentationError, parse_polynomial
 
 from conftest import load_doc, load_pres
 
@@ -206,6 +210,87 @@ def test_witness_rejects_zerodivisor():
     with pytest.raises(AuditError) as err:
         verify_regular_witness(r, s, ["x*z"], 12)
     assert "witness" in str(err.value)
+
+
+def witness_by_three_ranks(r, s, witness, D):
+    """The witness check with the ideal equality decided by three ranks per
+    degree, of span(witness), span(kernel) and their sum, the kernel being
+    spanned by the relators of S beyond R; then the Hilbert product.
+    Returns the refusal text, or None for an accepted witness."""
+    wits = [r.from_int_poly(parse_polynomial(text, r.names)) for text in witness]
+    kernel = [g for g in map(r.from_int_poly, s.relators[len(r.relators):]) if g]
+    for d in range(D + 1):
+        a, b = r.ideal_span(wits, d), r.ideal_span(kernel, d)
+        if len({len(linalg.rref(rows, r.field)[0]) for rows in (a, b, a + b)}) > 1:
+            return ("witness verification failed: witness ideal and kernel ideal "
+                    "differ in internal degree %d" % d)
+    degrees = [r.degree_of(next(iter(g))) for g in wits]
+    if invariants.hilbert_product(r, degrees, D) != s.hilbert(D):
+        return ("witness verification failed: Hilbert series of the quotient does "
+                "not match the regular-sequence product through degree %d" % D)
+    return None
+
+
+def draw_witness_case(rng):
+    """A seeded (R, S, witness, D): R and S = R/(extra) over x, y, z, and a
+    witness of nonzero homogeneous forms of R, often the extra relators
+    themselves, sometimes changed."""
+    field = field_from_spec(rng.choice([{"type": "Q"}, {"type": "Fp", "p": 2},
+                                        {"type": "Fp", "p": 3}]))
+    ring = Presentation(field, [("x", 1), ("y", 1), ("z", rng.choice([1, 2]))], [])
+
+    def form(d):
+        monos = [m for m in ring.monomials(d) if sum(m) >= 2]
+        return ring.poly_str({m: rng.choice([-1, 1, 2, 3])
+                              for m in rng.sample(monos, min(len(monos), rng.randint(1, 3)))})
+
+    def times_variable(text):
+        shift = rng.choice([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        return ring.poly_str({tuple(map(sum, zip(m, shift))): c for m, c
+                              in parse_polynomial(text, ring.names).items()})
+
+    while True:
+        base = [form(rng.choice([2, 3])) for _ in range(rng.randint(0, 2))]
+        extra = [form(rng.choice([2, 3, 4])) for _ in range(rng.randint(1, 2))]
+        witness = list(extra)
+        change = rng.randrange(5)
+        if change == 1:
+            witness[0] = form(rng.choice([2, 3]))
+        elif change == 2:
+            witness[-1] = times_variable(witness[-1])
+        elif change == 3:
+            witness.append(form(rng.choice([2, 3, 4])))
+        elif change == 4 and len(witness) > 1:
+            witness.pop()
+        try:
+            r = Presentation(field, ring.variables, base)
+            s = Presentation(field, ring.variables, base + extra, base=r)
+            wits = [r.from_int_poly(parse_polynomial(text, r.names)) for text in witness]
+        except PresentationError:
+            continue
+        if all(wits):
+            return r, s, witness, rng.randint(3, 6)
+
+
+def test_witness_check_matches_three_ranks():
+    # the witness lies in the kernel and has its rank in every degree
+    # exactly when span(witness), span(kernel) and their sum have one rank,
+    # and both checks refuse at the same first degree with the same text
+    rng = random.Random(20261019)
+    outcomes = collections.Counter()
+    for _ in range(300):
+        r, s, witness, D = draw_witness_case(rng)
+        want = witness_by_three_ranks(r, s, witness, D)
+        try:
+            verify_regular_witness(r, s, witness, D)
+            got = None
+        except AuditError as exc:
+            got = str(exc)
+        assert got == want, (r.relators, s.relators, witness, D)
+        outcomes[want and want.split(":")[1].split()[0]] += 1
+    # accepted, refused on the ideal and refused on the Hilbert product
+    assert set(outcomes) == {None, "witness", "Hilbert"} and min(outcomes.values()) >= 10, \
+        outcomes
 
 
 # -- Jacobi-Zariski descent ---------------------------------------------------

@@ -415,19 +415,22 @@ SHIFT_RINGS = ["m2zero_q", "m2zero_f5", "xz_over_jz_q"]
 @pytest.mark.parametrize("build", TOWER_KINDS, ids=lambda b: b.__name__)
 @pytest.mark.parametrize("name", SHIFT_RINGS)
 def test_times_monomial_is_the_element_product(name, build):
-    # every generator multiple s*g that minimal_generators reads, against the
-    # general product of s as a tower element with g
+    # every multiple s*g of a generator, which is d(s*y) for the variable y
+    # adjoined for g, against the general product of s as a tower element
+    # with g
     pres, D = _pres(name), 10
     count = reduced = 0
     for q in range(1, 4):
         t = build(pres, q, D)
         ground, one = t.ground, t.field.one
         gens = minimal_generators(t, q, D)
+        adjoined = t.variables_of_hdeg(q + 1)
         for d in range(D + 1):
-            for e, g in gens:
+            for (e, g), y in zip(gens, adjoined):
                 for s in ground.quotient_basis(d - e) if e < d else ():
                     prod = t.times_monomial(g, s)
                     assert prod == t.ground_element({s: one}) * g, (q, d, str(g))
+                    assert prod == t.word_differential((s, ((y.index, 1),)))
                     count += 1
                     reduced += len(prod.terms) != len(g.terms)
     assert count >= 10
@@ -505,14 +508,20 @@ def _rank(rows, field):
 @pytest.mark.parametrize("name", LONGHAND)
 def test_generator_multiples_span_the_decomposables(name, build):
     """Boundaries plus ground-monomial multiples of the generators found
-    below d span the same space as boundaries plus x_i * Z_{d - w_i}."""
+    below d span the same space as boundaries plus x_i * Z_{d - w_i}; once
+    minimal_generators has adjoined stage q + 1, the columns of d_{q+1}
+    span that space plus the generators of degree d."""
     pres, D = load_pres(name), 10
     for q in range(1, 5):
         t = build(pres, q, D)
         ground, one = t.ground, t.field.one
+        # the boundaries of the tower through stage q, read before
+        # minimal_generators adjoins the variables that make the multiples
+        # boundaries too
+        before = [t.matrix(q + 1, d)[0] for d in range(D + 1)]
         gens = minimal_generators(t, q, D)
         for d in range(D + 1):
-            bounds = t.matrix(q + 1, d)[0]
+            bounds = before[d]
             by_gens = [t.coords(t.ground_element({s: one}) * g, q, d)
                        for e, g in gens if e < d
                        for s in ground.quotient_basis(d - e)]
@@ -526,6 +535,11 @@ def test_generator_multiples_span_the_decomposables(name, build):
             b = _rank(bounds + by_cycles, t.field)
             assert a == b == _rank(bounds + by_gens + by_cycles, t.field), \
                 (q, d)
+            # the columns of d_{q+1} now also hold the generators of degree d
+            after = t.matrix(q + 1, d)[0]
+            span = bounds + by_gens + [t.coords(g, q, d) for e, g in gens if e == d]
+            assert _rank(after, t.field) == _rank(span, t.field) \
+                == _rank(after + span, t.field), (q, d)
 
 
 # -- one elimination per stage and internal degree ------------------------------
@@ -666,8 +680,10 @@ def test_adjoin_drops_the_free_lists_it_reaches():
     # of the pieces it reaches, or the kernels above would read stale rows
     t = koszul_complex(load_pres("m2zero_q"), 8)
     check_kernels(t, 3, 8)
-    d, z = minimal_generators(t, 1, 8)[0]
-    t.adjoin("w", 2, d, z)
+    # the cycle comes from a second build: minimal_generators adjoins its
+    # own stage-2 variables, whose drops would hide a stale list
+    d, z = minimal_generators(koszul_complex(load_pres("m2zero_q"), 8), 1, 8)[0]
+    t.adjoin("w", 2, d, Element(t, z.terms))
     for (kind, n, e), value in list(t._cache.items()):
         if kind == "free":
             assert value == linalg.Kernel(*t.matrix(n, e), t.field).free, (n, e)
@@ -725,6 +741,26 @@ def test_model_job_kernels_eliminate_few_rows(monkeypatch, capsys):
     assert sum(adds for _, adds, _ in stats) <= 1682
 
 
+def test_model_job_reduces_few_boundaries(monkeypatch, capsys):
+    # the same job adds 3190 vectors to echelon spans outside its kernels;
+    # with the generator multiples built apart from the boundaries it added
+    # 3535
+    stats = kernel_row_adds(monkeypatch)
+    total = [0]
+    add = linalg.Echelon.add
+
+    def counting(self, v):
+        total[0] += 1
+        return add(self, v)
+
+    monkeypatch.setattr(linalg.Echelon, "add", counting)
+    code = cli.main(["deviations", "--route", "minimal-model", "--N", "8",
+                     "--input", os.path.join(CATALOG, "m2zero_q.json")])
+    capsys.readouterr()
+    assert code == 0
+    assert total[0] - sum(adds for _, adds, _ in stats) <= 3190
+
+
 def test_deep_model_route_matches_the_betti_oracle(capsys):
     # m^2 = 0 in k[x, y] has b_n = 2^n; the model route through N = 10
     # must give the deviations eps_2..eps_10 the product formula reads off them
@@ -738,6 +774,30 @@ def test_deep_model_route_matches_the_betti_oracle(capsys):
 
 
 # -- generator selection in free cycle coordinates ------------------------------
+
+@pytest.mark.parametrize("build", TOWER_KINDS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize("name", ["m2zero_q", "m2zero_f2", "xsq_xy_q", "xz_over_jz_q"])
+def test_minimal_generators_adjoin_their_variables(name, build):
+    # on a tower built to stage q, minimal_generators adjoins one stage-(q+1)
+    # variable per generator it returns, in order, named by the builder's
+    # scheme, with the generator's degree and cycle; the tower is then the
+    # one built to stage q + 1
+    pres, D = _pres(name), 10
+    letter = "x" if build is build_acyclic_closure else "y"
+    count = 0
+    for q in range(1, 5):
+        t = build(pres, q, D)
+        before = len(t.variables)
+        gens = minimal_generators(t, q, D)
+        added = t.variables[before:]
+        assert [(v.name, v.hdeg, v.ideg) for v in added] == \
+            [("%s%d_%d" % (letter, q + 1, i + 1), q + 1, d)
+             for i, (d, _) in enumerate(gens)], q
+        assert all(v.dval == z for v, (_, z) in zip(added, gens)), q
+        assert t.dump() == build(pres, q + 1, D).dump(), q
+        count += len(gens)
+    assert count >= 4
+
 
 def full_coordinate_generators(tower, q, D):
     """minimal_generators on full piece coordinates: an Echelon fed the
@@ -769,8 +829,10 @@ def test_free_coordinate_selection_matches_full_coordinates(monkeypatch, name, b
     stages = []
 
     def checked(tower, q, bound):
+        # the reference reads d_{q+1} before minimal_generators adjoins stage q + 1
+        expect = full_coordinate_generators(tower, q, bound)
         gens = minimal_generators(tower, q, bound)
-        assert gens == full_coordinate_generators(tower, q, bound), q
+        assert gens == expect, q
         stages.append(q)
         return gens
 
