@@ -10,7 +10,7 @@ from .invariants import (aq_ranks, characteristic_window, ci_check, ci_verdict,
                          deviations, hilbert_product, model_deviations,
                          model_stage)
 from .presentations import Presentation, PresentationError, parse_polynomial
-from .resolution import build_minimal_model
+from .resolution import build_minimal_model, kernel_coordinates
 
 
 class AuditError(ValueError):
@@ -157,17 +157,17 @@ def verify_regular_witness(r_pres, s_pres, witness_polys, D):
                              % (text,))
         wits.append(g)
     # the witness ideal lies in the kernel once every witness vanishes in S,
-    # and then fills it in degree d when its rank there is dim R_d - dim S_d
+    # and then fills it in degree d when its span there misses no basis
+    # vector of the kernel
     degrees = [r_pres.degree_of(next(iter(g))) for g in wits]
     outside = {e for e, g in zip(degrees, wits) if s_pres.normal_form(g)}
-    hilb_r, hilb_s = r_pres.hilbert(D), s_pres.hilbert(D)
     for d in range(D + 1):
-        if d in outside or (len(linalg.rref(r_pres.ideal_span(wits, d), r_pres.field)[0])
-                            != hilb_r[d] - hilb_s[d]):
+        if d in outside or linalg.complement(kernel_coordinates(r_pres, s_pres, d),
+                                             r_pres.ideal_span(wits, d), r_pres.field):
             raise AuditError(
                 "witness verification failed: witness ideal and kernel ideal "
                 "differ in internal degree %d" % d)
-    if hilbert_product(r_pres, degrees, D) != hilb_s:
+    if hilbert_product(r_pres, degrees, D) != s_pres.hilbert(D):
         raise AuditError(
             "witness verification failed: Hilbert series of the quotient does "
             "not match the regular-sequence product through degree %d" % D)
@@ -186,12 +186,9 @@ def jacobi_zariski_audit(layers, witness, i_max, D):
     verify_regular_witness(r, s, witness, D)
     limit = characteristic_window(s.field)
     checks = []
-    in_window = [i for i in range(1, i_max + 1)
-                 if limit is None or 2 * i <= limit]
-    n_top = max((2 * i for i in in_window), default=0)
-    if in_window:
-        rk_sr = aq_ranks(s, n_top, D)
-        rk_sq = aq_ranks(s_over_q, n_top, D)
+    n_top = max(2 * i for i in range(1, i_max + 1) if limit is None or 2 * i <= limit)
+    rk_sr = aq_ranks(s, n_top, D)
+    rk_sq = aq_ranks(s_over_q, n_top, D)
     for i in range(1, i_max + 1):
         n = 2 * i
         if limit is not None and n > limit:

@@ -67,6 +67,26 @@ class Echelon:
         return j
 
 
+def complement(free, vectors, field):
+    """The indices f of free (ascending) whose basis vector span(vectors)
+    misses, in a space whose vectors are fixed by their coordinates at
+    free and whose basis vector f is 1 at f and 0 at the rest of free.
+
+    These are the basis vectors that a greedy complement of the span keeps
+    on full coordinates, taken ascending: f is missed when no vector of the
+    span has its highest coordinate in free at f.  The vectors are reduced
+    at free alone, with leads at the highest index, and none is read once
+    the span fills free.
+    """
+    pos = {f: len(free) - 1 - i for i, f in enumerate(free)}
+    span = Echelon(field)
+    for v in vectors if free else ():
+        span.add({pos[k]: c for k, c in v.items() if k in pos})
+        if len(span.rows) == len(free):
+            break
+    return [f for f in free if pos[f] not in span.rows]
+
+
 def rref(vectors, field):
     """Canonical reduced row echelon basis of span(vectors).
 

@@ -159,14 +159,14 @@ class Presentation:
     """Weighted graded quotient ring, presented by homogeneous relators."""
 
     def __init__(self, field, variables, relators, base=None):
-        names = [v[0] for v in variables]
-        if len(set(names)) != len(names):
-            raise PresentationError("duplicate variable names")
         for nm, w in variables:
             if not isinstance(nm, str) or not _NAME.match(nm):
                 raise PresentationError("bad variable name %r" % (nm,))
             if not isinstance(w, int) or isinstance(w, bool) or w < 1:
                 raise PresentationError("variable %s needs integer degree >= 1" % nm)
+        names = [v[0] for v in variables]
+        if len(set(names)) != len(names):
+            raise PresentationError("duplicate variable names")
         self.field = field
         self.variables = tuple((nm, w) for nm, w in variables)
         self.names = tuple(names)
@@ -242,9 +242,13 @@ class Presentation:
         return doc
 
     def polynomial_ring(self):
-        """The polynomial ring on the same variables: self if relator-free."""
+        """The polynomial ring on the same variables: self if relator-free,
+        else that of the declared base, so a relator-free base serves as
+        the one polynomial ring of every layer above it."""
         if not self.relators:
             return self
+        if self.base is not None:
+            return self.base.polynomial_ring()
         key = ("free",)
         if key not in self._cache:
             self._cache[key] = Presentation(self.field, self.variables, ())
@@ -260,7 +264,10 @@ class Presentation:
         return sum(e * w for e, w in zip(mono, self.weights))
 
     def monomials(self, d):
-        """All monomials of weighted degree d in descending lex order."""
+        """All monomials of weighted degree d in descending lex order, one
+        tuple shared with the polynomial ring."""
+        if self.relators:
+            return self.polynomial_ring().monomials(d)
         key = ("monos", d)
         if key not in self._cache:
             if d < 0:
@@ -330,7 +337,13 @@ class Presentation:
         return [len(self.quotient_basis(d)) for d in range(D + 1)]
 
     def reduce_monomial(self, mono):
-        """Normal form of a (not necessarily standard) monomial: {std mono: scalar}."""
+        """Normal form of a (not necessarily standard) monomial: {std mono: scalar}.
+
+        Without relators every monomial is standard, so no per-degree data
+        is built, whatever the degree.
+        """
+        if not self.relators:
+            return {mono: self.field.one}
         key = ("red", mono)
         if key in self._cache:
             return self._cache[key]

@@ -23,29 +23,36 @@ class ResolutionError(ValueError):
     pass
 
 
+def kernel_coordinates(base, pres, d):
+    """Indices in base.quotient_basis(d) of the monomials pres drops,
+    ascending.  A vector of the kernel of base ->> pres in degree d is
+    fixed by its coordinates there: m - NF(m), NF(m) the normal form of m
+    in pres, is the one that is 1 at m and 0 at the others."""
+    kept = pres.basis_index(d)
+    return [i for i, m in enumerate(base.quotient_basis(d)) if m not in kept]
+
+
 def kernel_generators(pres):
     """Minimal homogeneous generators of the kernel of base ->> pres.
 
-    Returns [(degree, reduced ground element)] ascending by degree; the
-    choice is canonical (echelon representatives of the per-degree ideal
-    span, taken in order).  In degree d the decomposable part (m*I)_d is
-    spanned by the multiples of the generators found below d.  An ideal
-    generated in degrees <= e needs no minimal generator above e, so the
-    scan is finite.
+    Returns [(degree, reduced ground element)] ascending by degree.  In
+    degree d the generators are the basis vectors m - NF(m) of the kernel,
+    one per standard monomial m of the base that pres drops
+    (``kernel_coordinates``), that the degree-d multiples of the generators
+    found below d miss (``linalg.complement``), ascending in the base's
+    quotient basis.  By graded Nakayama a minimal generator has the degree
+    of a relator beyond the base, so only those degrees are scanned.
     """
     ground = pres.free_base()
-    raw = [g for g in map(ground.from_int_poly, pres.relators[len(ground.relators):])
-           if g]
-    top = max((ground.degree_of(next(iter(g))) for g in raw), default=1)
+    one, neg = pres.field.one, pres.field.neg
     gens = []
-    for d in range(2, top + 1):
-        pivots, red = linalg.rref(ground.ideal_span(raw, d), ground.field)
-        sub = linalg.Echelon(ground.field)
-        for row in ground.ideal_span([g for _, g in gens], d):
-            sub.add(row)
-        for p in pivots:
-            if sub.add(red[p]) is not None:
-                gens.append((d, ground.element(red[p], d)))
+    for d in sorted({pres.degree_of(next(iter(f)))
+                     for f in pres.relators[len(ground.relators):]}):
+        basis = ground.quotient_basis(d)
+        span = ground.ideal_span([g for _, g in gens], d)
+        for i in linalg.complement(kernel_coordinates(ground, pres, d), span, pres.field):
+            nf = pres.reduce_monomial(basis[i])
+            gens.append((d, {basis[i]: one, **{s: neg(c) for s, c in nf.items()}}))
     return gens
 
 
@@ -90,35 +97,23 @@ def minimal_generators(tower, q, D):
     entry, in that order, named by ``_variable_name``, of bidegree (q + 1, d)
     with the entry's cycle as differential value.
 
-    A cycle is fixed by its coordinates at the free columns of d_q, and the
-    canonical kernel vector of free column f is 1 at f, 0 at the other free
-    columns and supported below f.  So the boundaries are reduced in free
-    coordinates alone, with leads at the highest free column, and the
-    kernel vectors kept are those whose free column is not a lead: the
-    same cycles, in the same order, that a greedy complement of ascending
-    kernel vectors on full coordinates picks.  Kernel vectors are solved
-    only for the new generators.  A degree without cycles reads no
-    boundaries, and reduction stops once the span fills every free
-    coordinate.
+    A cycle is fixed by its coordinates at the free columns of d_q, where
+    the canonical kernel vector of free column f is 1 at f and 0 at the
+    others, so ``linalg.complement`` picks the free columns the boundaries
+    miss: the same cycles, in the same order, that a greedy complement of
+    ascending kernel vectors on full coordinates picks.  Kernel vectors
+    are solved only for the new generators, and a degree without cycles
+    reads no boundaries.
     """
     gens = []
     for d in range(0, D + 1):
         kernel = tower.kernel(q, d)
         if not kernel.free:
             continue
-        # free column -> position, highest first
-        nfree = len(kernel.free)
-        pos = {f: nfree - 1 - i for i, f in enumerate(kernel.free)}
-        sub = linalg.Echelon(tower.field)
-        for v in tower.matrix(q + 1, d)[0]:
-            sub.add({pos[k]: c for k, c in v.items() if k in pos})
-            if len(sub.rows) == nfree:
-                break
-        for f in kernel.free:
-            if pos[f] not in sub.rows:
-                z = tower.element(kernel.vector(f), q, d)
-                gens.append((d, z))
-                tower.adjoin(_variable_name(tower, q + 1, len(gens)), q + 1, d, z)
+        for f in linalg.complement(kernel.free, tower.matrix(q + 1, d)[0], tower.field):
+            z = tower.element(kernel.vector(f), q, d)
+            gens.append((d, z))
+            tower.adjoin(_variable_name(tower, q + 1, len(gens)), q + 1, d, z)
     return gens
 
 

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, output formats, determinism."""
 
+import collections
 import importlib.util
 import json
 import os
@@ -8,8 +9,10 @@ import sys
 
 import pytest
 
+from tatelab import linalg
 from tatelab.audits import AuditReport
 from tatelab.cli import COMMANDS, main
+from tatelab.presentations import Presentation
 
 from conftest import CATALOG
 
@@ -303,6 +306,40 @@ def test_malformed_witness_rejected(tmp_path, capsys, witness, message):
     _assert_one_line_error(code, out, err, message)
 
 
+@pytest.mark.parametrize("name", [["x"], {"a": 1}], ids=["list", "object"])
+def test_unhashable_variable_name_rejected(tmp_path, capsys, name):
+    # the name's type is checked before the names are collected in a set
+    doc = {"field": {"type": "Q"},
+           "variables": [{"name": name, "degree": 1}, {"name": "y", "degree": 1}],
+           "relators": ["y^2"]}
+    for argv in (("deviations",), ("ci-check",), ("model-print",), ("audit", "rigidity")):
+        assert run(capsys, *argv, "--input", _write_doc(tmp_path, doc)) == \
+            (1, "", "error: bad variable name %r\n" % (name,)), argv
+    with open(cat("tower_jz_q")) as fh:
+        tower = json.load(fh)
+    tower["tower"][1]["variables"][0]["name"] = name
+    assert run(capsys, "audit", "jacobi-zariski", "--input", _write_doc(tmp_path, tower)) == \
+        (1, "", "error: bad tower layer: bad variable name %r\n" % (name,))
+
+
+def test_relator_of_huge_degree_answers_at_once(tmp_path):
+    # through D = 12, Q[x]/(x^(10^20)) is the polynomial ring; the normal
+    # form of a relator over the relator-free ring needs no data of its
+    # degree, whose monomials could not be listed
+    doc = {"field": {"type": "Q"}, "variables": [{"name": "x", "degree": 1}],
+           "relators": ["x^99999999999999999999"]}
+    root = os.path.dirname(CATALOG)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tatelab", "deviations", "--format", "json",
+         "--input", _write_doc(tmp_path, doc)],
+        capture_output=True, text=True, env=env, cwd=root, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    counts = json.loads(proc.stdout)["deviations"]
+    assert [counts[str(n)]["count"] for n in range(1, 7)] == [1, 0, 0, 0, 0, 0]
+
+
 def test_tower_layer_relators_string_rejected(tmp_path, capsys):
     with open(cat("tower_jz_q")) as fh:
         doc = json.load(fh)
@@ -551,3 +588,39 @@ def test_setup_probe_parses_the_catalog():
     assert proc.stderr == ""
     assert os.path.realpath(os.path.dirname(proc.stdout.strip())) == \
         os.path.realpath(os.path.join(src, "tatelab"))
+
+
+def test_one_elimination_per_presentation_and_degree(monkeypatch, capsys):
+    # over the model_q and catalog_cli jobs every linalg.rref runs inside
+    # Presentation._degree_data, once per (presentation, degree): the kernel
+    # generators and the witness check read the quotient's normal forms
+    inside, runs, outside = [], collections.Counter(), []
+    rref, degree_data = linalg.rref, Presentation._degree_data
+
+    def traced_data(self, d):
+        inside.append((self, d))
+        try:
+            return degree_data(self, d)
+        finally:
+            inside.pop()
+
+    def counted_rref(vectors, field):
+        # the key holds the presentation, so no id is reused between jobs
+        if inside:
+            runs[inside[-1]] += 1
+        else:
+            outside.append(len(vectors))
+        return rref(vectors, field)
+
+    monkeypatch.setattr(Presentation, "_degree_data", traced_data)
+    monkeypatch.setattr(linalg, "rref", counted_rref)
+    for workload in ("model_q", "catalog_cli"):
+        for inst, args in bench.WORKLOADS[workload]:
+            main(list(args) + ["--input", cat(inst), "--format", "json"])
+            capsys.readouterr()
+    assert not outside
+    assert runs and set(runs.values()) == {1}
+    # a declared relator-free base is the polynomial ring of its quotient and
+    # of every tower layer above it: 28 + 2110 in all, where a second ring
+    # per instance and the kernel generators' own eliminations made 28 + 2669
+    assert sum(runs.values()) <= 2138

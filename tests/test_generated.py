@@ -1,5 +1,6 @@
-"""Both routes, the syzygy oracle and every kernel taken from the free
-columns below against all rows, on generated presentations.
+"""Both routes, the syzygy oracle, every kernel taken from the free
+columns below against all rows and the kernel generators against an
+elimination of the relators, on generated presentations.
 
 Hypothesis draws small graded rings beyond the catalog: 2-3 variables of
 weight 1-2 and 1-3 homogeneous monomial or binomial relators of degree
@@ -12,12 +13,15 @@ relator vanishes in the field, since each keeps a term with coefficient 1.
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from tatelab import linalg
+from tatelab.audits import build_layer_chain
 from tatelab.extensions import Element
 from tatelab.invariants import betti_numbers
-from tatelab.presentations import parse_presentation
-from tatelab.resolution import build_acyclic_closure, build_minimal_model
+from tatelab.presentations import Presentation, parse_presentation
+from tatelab.resolution import (build_acyclic_closure, build_minimal_model,
+                                kernel_generators)
 
-from conftest import check_kernels
+from conftest import TOWER_INSTANCES, check_kernels, load_doc
 from oracles import betti_oracle
 
 N, D = 4, 6
@@ -101,3 +105,49 @@ def test_counts_invariant_under_permutation(data):
     permuted = dict(doc, variables=[doc["variables"][i] for i in var_order],
                     relators=[doc["relators"][i] for i in rel_order])
     assert invariants(permuted) == invariants(doc)
+
+
+def kernel_generators_by_rref(pres):
+    """The kernel generators as an elimination finds them: in each degree
+    2..top, the reduced echelon rows of the span of the relators beyond the
+    base, reduced in the base, kept in pivot order when they are
+    independent on full coordinates of the multiples found below and of
+    the rows kept before them."""
+    ground = pres.free_base()
+    raw = [g for g in map(ground.from_int_poly, pres.relators[len(ground.relators):])
+           if g]
+    top = max((ground.degree_of(next(iter(g))) for g in raw), default=1)
+    gens = []
+    for d in range(2, top + 1):
+        pivots, red = linalg.rref(ground.ideal_span(raw, d), ground.field)
+        sub = linalg.Echelon(ground.field)
+        for row in ground.ideal_span([g for _, g in gens], d):
+            sub.add(row)
+        for p in pivots:
+            if sub.add(red[p]) is not None:
+                gens.append((d, ground.element(red[p], d)))
+    return gens
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_kernel_generators_match_the_rref_route(data):
+    # the same generators, element by element and in order, over the
+    # polynomial ring and over a declared base holding a prefix of the relators
+    doc = data.draw(presentations())
+    for cut in (0, data.draw(st.integers(0, len(doc["relators"])))):
+        pres = parse_presentation(dict(doc, base_relators=doc["relators"][:cut]))
+        assert kernel_generators(pres) == kernel_generators_by_rref(pres), cut
+
+
+def test_tower_kernel_generators_match_the_rref_route():
+    # R over Q, S over R and S over Q for every catalog tower
+    count = 0
+    for name in TOWER_INSTANCES:
+        q, r, s = build_layer_chain(load_doc(name)["tower"])
+        for pres in (r, s, Presentation(s.field, s.variables, s.relators, base=q)):
+            gens = kernel_generators(pres)
+            assert gens == kernel_generators_by_rref(pres), (name, pres)
+            count += len(gens)
+    assert count >= 9

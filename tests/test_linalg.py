@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from tatelab.fields import PrimeField, QQ
-from tatelab.linalg import Echelon, Kernel, add_into, rref, solve_cols
+from tatelab.linalg import Echelon, Kernel, add_into, complement, rref, solve_cols
 
 
 def to_dense(v, n):
@@ -297,3 +297,93 @@ def test_add_into_drops_cancelled_keys(field):
         got = add_into(dict(start), terms, field)
         assert got == expect
         assert not any(field.is_zero(c) for c in got.values())
+
+
+# -- complements at free coordinates --------------------------------------------
+
+def greedy_complement(free, basis, vectors, field):
+    """The indices f of free whose basis vector, taken ascending, is
+    independent on full coordinates of the vectors and the basis vectors
+    before it."""
+    span = Echelon(field)
+    for v in vectors:
+        span.add(v)
+    return [f for f in free if span.add(basis[f]) is not None]
+
+
+def draw_free_space(rng, field):
+    """(free, basis, vectors): free an ascending sample of 0..n-1, basis[f]
+    1 at f, 0 at the rest of free and sparse elsewhere, and vectors sparse
+    combinations of the basis vectors, some of them repeated or zero."""
+    def scalar():
+        c = field.from_int(rng.choice([-3, -1, 1, 2, 5]))
+        if field.kind == "Q" and rng.random() < 0.3:
+            c = field.mul(c, field.inv(field.from_int(rng.randint(2, 7))))
+        return c
+
+    n = rng.randint(0, 10)
+    free = sorted(rng.sample(range(n), rng.randint(0, n)))
+    rest = [k for k in range(n) if k not in free]
+    basis = {}
+    for f in free:
+        basis[f] = {f: field.one}
+        for k in rng.sample(rest, rng.randint(0, len(rest))):
+            c = scalar()
+            if not field.is_zero(c):
+                basis[f][k] = c
+    vectors = []
+    for _ in range(rng.randint(0, len(free) + 2)):
+        v = {}
+        for f in rng.sample(free, rng.randint(0, min(3, len(free)))):
+            a = scalar()
+            add_into(v, ((k, field.mul(a, c)) for k, c in basis[f].items()), field)
+        vectors.append(v)
+    if vectors and rng.random() < 0.3:
+        vectors.append(dict(rng.choice(vectors)))
+    return free, basis, vectors
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)],
+                         ids=str)
+def test_complement_matches_a_greedy_full_coordinate_complement(field):
+    # the free indices the span misses, read at free coordinates with leads
+    # at the highest index, are the greedy full-coordinate complement; once
+    # the span fills free no further vector is read
+    rng = random.Random(20261019)
+    filled = 0
+    for _ in range(400):
+        free, basis, vectors = draw_free_space(rng, field)
+        read = []
+
+        def stream():
+            for v in vectors:
+                read.append(v)
+                yield v
+
+        got = complement(free, stream(), field)
+        assert got == greedy_complement(free, basis, vectors, field), (free, vectors)
+        if free and not got:
+            filled += 1
+            assert len(greedy_complement(free, basis, read, field)) == 0
+            assert greedy_complement(free, basis, read[:-1], field) != []
+        elif free:
+            assert read == vectors
+    assert filled >= 50
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=str)
+def test_complement_stops_once_the_span_is_full(field):
+    one = field.one
+
+    def vectors():
+        yield {0: one, 1: one, 5: one}
+        yield {}
+        yield {1: one, 2: one, 4: one}
+        yield {2: one}
+        raise AssertionError("read past a full span")
+
+    assert complement([0, 1, 2], vectors(), field) == []
+    assert complement([0, 1, 2, 3], [{0: one, 3: one}, {3: one, 1: one}], field) == [0, 2]
+    # no free index: nothing to pick and nothing read
+    assert complement([], vectors(), field) == []
+    assert complement([], [], field) == []

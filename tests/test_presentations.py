@@ -65,6 +65,28 @@ def test_duplicate_variable_names_rejected():
         P([], variables=[("x", 1), ("x", 1)])
 
 
+def test_one_polynomial_ring_per_instance_and_tower():
+    # a relator-free declared base is the polynomial ring, shared with every
+    # layer above it, and a quotient lists its ring's monomials
+    pres = parse_presentation(load_doc("m2zero_q"))
+    assert pres.polynomial_ring() is pres.free_base() is pres.base
+    assert pres.monomials(3) is pres.base.monomials(3)
+    q, r, s = build_layer_chain(load_doc("tower_jz_q")["tower"])
+    assert r.polynomial_ring() is s.polynomial_ring() is q
+    baseless = P(["x^2"])
+    ring = baseless.polynomial_ring()
+    assert ring.relators == () and ring is baseless.free_base()
+    assert baseless.monomials(2) is ring.monomials(2) == ((2, 0), (1, 1), (0, 2))
+
+
+def test_relator_free_normal_form_builds_no_degree_data():
+    ring = P([])
+    huge = (10 ** 20, 3)
+    assert ring.reduce_monomial(huge) == {huge: 1}
+    assert ring.normal_form({huge: 2, (0, 1): 1}) == {huge: 2, (0, 1): 1}
+    assert not any(key[0] == "deg" for key in ring._cache)
+
+
 def test_base_must_be_prefix():
     base = P(["x^2"])
     P(["x^2", "y^2"], base=base)  # fine
