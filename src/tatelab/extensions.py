@@ -35,7 +35,10 @@ Conventions fixed once and for all:
     ``times_monomial`` (d(m*X) for a word with m != 1) reads the same
     tables;
   * ``kernel(n, d)`` keeps the free columns of the kernel it takes, and
-    the kernel out of (n + 1, d) eliminates only its rows there.
+    the kernel out of (n + 1, d) eliminates only its rows there, or none
+    when those rows decide it: no rows make the differential zero, and as
+    many rows as words, where H_n = 0 is recorded (``mark_acyclic``),
+    make it injective.
 
 Words are pairs (mono, ext) with mono a standard ground monomial and ext
 a tuple of (variable index, exponent) pairs sorted by index.
@@ -160,7 +163,8 @@ class ExtensionTower:
     Towers are frozen once their builder returns them, unless a caller
     hands one to ``resolution.minimal_generators``, which adjoins the next
     stage; ``adjoin`` is the builders' constructor step and drops exactly
-    the cached pieces a new variable can touch.
+    the cached pieces a new variable can touch, and extends the one
+    pattern list it can.
     """
 
     def __init__(self, ground, flavor, nmax=None, dmax=None):
@@ -177,6 +181,7 @@ class ExtensionTower:
         # zero, so the shifts of distinct monomials never merge
         self._merges = any(len(f) > 1 for f in ground.relators)
         self._cache = {}
+        self._acyclic = {}  # n -> D: H_n = 0 in internal degrees 0..D
         self._dwords = {}
         self._shifts = {}
 
@@ -210,10 +215,26 @@ class ExtensionTower:
         # a variable of bidegree (h, i) adds words only to pieces (n, d)
         # with n >= h and d >= i; every other piece keeps its words, and
         # the differential out of it, whose free list is keyed (n, d),
-        # keeps its target (n - 1, d)
+        # keeps its target (n - 1, d).  Of the patterns of degree h it adds
+        # one, itself alone, first in the enumeration order (it is the last
+        # variable, and no later one fits beside it), so a list of degree h
+        # up to cap >= i is extended; every other key it reaches is dropped.
+        # It adds only boundaries to H_{h-1} and leaves H_n, n < h - 1,
+        # alone, so it keeps the record that H_n = 0 for n < h.
+        alone = (((var.index, 1),), ideg)
         for key in [k for k in self._cache if k[1] >= hdeg and k[2] >= ideg]:
-            del self._cache[key]
+            if key[:2] == ("patterns", hdeg):
+                self._cache[key] = (alone,) + self._cache[key]
+            else:
+                del self._cache[key]
+        self._acyclic = {n: D for n, D in self._acyclic.items() if n < hdeg}
         return var
+
+    def mark_acyclic(self, n, D):
+        """Record that H_n = 0 in internal degrees 0..D, which ``kernel``
+        reads; it holds until a variable of homological degree <= n is
+        adjoined."""
+        self._acyclic[n] = max(D, self._acyclic.get(n, D))
 
     def variable_element(self, var):
         return Element.from_word(self, (self._unit, ((var.index, 1),)))
@@ -440,8 +461,9 @@ class ExtensionTower:
             terms[(quotient_basis(b)[i - off], ext)] = c
         return Element(self, terms)
 
-    def matrix(self, n, d):
-        """Differential piece (n, d) -> (n-1, d) as (sparse columns, nrows).
+    def columns(self, n, d):
+        """The sparse columns of the differential piece (n, d) -> (n-1, d),
+        in piece order, each assembled only when it is read.
 
         Column s * ext of a block is s * d(1 * ext): a term c * m * x of
         d(1 * ext) adds c times row s of the shift table of (m, b) into
@@ -450,21 +472,25 @@ class ExtensionTower:
         only where a reduction can merge two products.
         """
         blocks = self._layout(n, d)[0]
-        _, target, nrows = self._layout(n - 1, d)
+        target = self._layout(n - 1, d)[1]
         f, unit, quotient_basis = self.field, self._unit, self.ground.quotient_basis
-        cols = []
         for ext, b, _ in blocks:
             terms = [(blk[2], c, self._shift(m, b)) for (m, x), c
                      in self.word_differential((unit, ext)).terms.items()
                      if (blk := target.get(x))]
             width = range(len(quotient_basis(b)))
             if self._merges:
-                cols += [linalg.add_into({}, ((off + j, f.mul(c, r)) for off, c, rows in terms
-                                              for j, r in rows[i]), f) for i in width]
+                for i in width:
+                    yield linalg.add_into({}, ((off + j, f.mul(c, r)) for off, c, rows in terms
+                                               for j, r in rows[i]), f)
             else:
-                cols += [{off + j: c for off, c, rows in terms for j, _ in rows[i]}
-                         for i in width]
-        return cols, nrows
+                for i in width:
+                    yield {off + j: c for off, c, rows in terms for j, _ in rows[i]}
+
+    def matrix(self, n, d):
+        """Differential piece (n, d) -> (n-1, d) as (list of ``columns``,
+        nrows)."""
+        return list(self.columns(n, d)), self._layout(n - 1, d)[2]
 
     def kernel(self, n, d):
         """``linalg.Kernel`` of the differential out of (n, d), eliminating
@@ -477,12 +503,24 @@ class ExtensionTower:
         columns.  Read at those columns, the image of d_n fills every
         coordinate, so the rows are independent, exactly where H_{n-1} = 0
         in degree d.  A builder kills H_{n-1} through the bound before it
-        takes this kernel, so there each row eliminated adds a pivot.  The
-        free list is kept under ("free", n, d) for the kernel out of
-        (n + 1, d), and ``adjoin`` drops it with the piece (n, d).
+        takes this kernel, so there each row eliminated adds a pivot.
+
+        Two counts decide the kernel with no assembly and no elimination.
+        No rows named: d_n is zero, and every column is free.  H_{n-1} = 0
+        recorded through d (``mark_acyclic``) and as many rows as words:
+        the rank is the number of rows, so d_n is injective.  The free list
+        is kept under ("free", n, d) for the kernel out of (n + 1, d), and
+        ``adjoin`` drops it with the piece (n, d).
         """
-        cols, nrows = self.matrix(n, d)
-        kernel = linalg.Kernel(cols, nrows, self.field, self._cache.get(("free", n - 1, d)))
+        rows = self._cache.get(("free", n - 1, d))
+        size = self._layout(n, d)[2]
+        if rows == []:
+            kernel = linalg.Kernel.of_units(list(range(size)), self.field)
+        elif rows is not None and len(rows) == size and self._acyclic.get(n - 1, -1) >= d:
+            kernel = linalg.Kernel.of_units([], self.field)
+        else:
+            cols, nrows = self.matrix(n, d)
+            kernel = linalg.Kernel(cols, nrows, self.field, rows)
         self._cache[("free", n, d)] = kernel.free
         return kernel
 

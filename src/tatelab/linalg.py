@@ -12,11 +12,13 @@ one only where the lead does not divide an entry.  A row form vector is
 a nonzero scalar multiple of the field vector it stands for, so every
 lead index and rank is the one plain field arithmetic would give.
 
-A kernel takes one forward elimination and no reduced echelon form:
-``Kernel.vector`` back-solves the canonical kernel vector of one free
-column on demand, so a caller that needs only a few of them pays for only
-those.  The elimination reads the rows a caller names, all rows by
-default.
+A kernel takes at most one forward elimination and no reduced echelon
+form: ``Kernel.vector`` back-solves the canonical kernel vector of one
+free column on demand, so a caller that needs only a few of them pays for
+only those.  The elimination reads the rows a caller names, all rows by
+default; a caller that knows the kernel is spanned by unit vectors (a
+zero matrix, or an injective one) names its free columns instead and no
+elimination runs (``Kernel.of_units``).
 """
 
 from bisect import bisect
@@ -139,6 +141,16 @@ class Kernel:
         self.rows = ech.rows
         self.pivots = sorted(ech.rows)
         self.free = [f for f in range(len(cols)) if f not in ech.rows]
+
+    @classmethod
+    def of_units(cls, free, field):
+        """The kernel whose canonical vectors are the unit vectors at the
+        columns free (ascending), taken with no elimination: that of a zero
+        matrix when free lists every column, the zero kernel when it is
+        empty.  ``rows`` and ``pivots`` are empty, as no row was read."""
+        kernel = cls.__new__(cls)
+        kernel.field, kernel.rows, kernel.pivots, kernel.free = field, {}, [], free
+        return kernel
 
     def vector(self, f):
         """Canonical kernel vector of free column f.

@@ -102,18 +102,22 @@ def minimal_generators(tower, q, D):
     others, so ``linalg.complement`` picks the free columns the boundaries
     miss: the same cycles, in the same order, that a greedy complement of
     ascending kernel vectors on full coordinates picks.  Kernel vectors
-    are solved only for the new generators, and a degree without cycles
-    reads no boundaries.
+    are solved only for the new generators, a degree without cycles reads
+    no boundaries, and the boundary columns are assembled one at a time,
+    only until their span fills the free columns.  Once every degree is
+    scanned, H_q = 0 through D, and the tower records it for the kernels
+    of the next stage (``ExtensionTower.mark_acyclic``).
     """
     gens = []
     for d in range(0, D + 1):
         kernel = tower.kernel(q, d)
         if not kernel.free:
             continue
-        for f in linalg.complement(kernel.free, tower.matrix(q + 1, d)[0], tower.field):
+        for f in linalg.complement(kernel.free, tower.columns(q + 1, d), tower.field):
             z = tower.element(kernel.vector(f), q, d)
             gens.append((d, z))
             tower.adjoin(_variable_name(tower, q + 1, len(gens)), q + 1, d, z)
+    tower.mark_acyclic(q, D)
     return gens
 
 

@@ -33,6 +33,12 @@ TABLE_COMMANDS = [
     ["audit", "rigidity"], ["audit", "growth"],
 ]
 
+# the closure_fp jobs and the model_q model job of perfbench/jobs.py
+DEEP_JOBS = [
+    ("m2zero_f2", ["deviations", "--N", "10"]), ("m2zero_f5", ["betti", "--N", "10"]),
+    ("m2zero_q", ["deviations", "--route", "minimal-model", "--N", "8"]),
+]
+
 
 def jobs():
     for name in RINGS:
@@ -51,6 +57,13 @@ def jobs():
         for argv in TABLE_COMMANDS:
             for fmt in ("table", "json"):
                 yield name, argv + ["--format", fmt]
+    # the deep benchmark jobs, and the cycles every stage of a deep closure
+    # and a deep model picks
+    for name, argv in DEEP_JOBS:
+        for fmt in ("table", "json"):
+            yield name, argv + ["--format", fmt]
+    yield "m2zero_f2", ["model-print", "--N", "10"]
+    yield "m2zero_q", ["model-print", "--route", "minimal-model", "--N", "8"]
 
 
 def run_all(tmpdir):

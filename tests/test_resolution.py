@@ -550,21 +550,29 @@ GUARDED = [(build_minimal_model, "m2zero_q"), (build_acyclic_closure, "m2zero_f2
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Forward eliminations (Kernel constructions), the free columns they
-    found and the kernel vectors solved from them."""
-    calls = {"eliminations": 0, "free": 0, "vectors": 0}
-    init, vector = linalg.Kernel.__init__, linalg.Kernel.vector
+    """Forward eliminations (Kernel constructions), kernels decided with no
+    elimination (``Kernel.of_units``), the free columns of both and the
+    kernel vectors solved from them."""
+    calls = {"eliminations": 0, "decided": 0, "free": 0, "vectors": 0}
+    init, of_units, vector = (linalg.Kernel.__init__, linalg.Kernel.of_units,
+                              linalg.Kernel.vector)
 
     def counting_init(self, *args):
         init(self, *args)
         calls["eliminations"] += 1
         calls["free"] += len(self.free)
 
+    def counting_of_units(free, field):
+        calls["decided"] += 1
+        calls["free"] += len(free)
+        return of_units(free, field)
+
     def counting_vector(self, f):
         calls["vectors"] += 1
         return vector(self, f)
 
     monkeypatch.setattr(linalg.Kernel, "__init__", counting_init)
+    monkeypatch.setattr(linalg.Kernel, "of_units", staticmethod(counting_of_units))
     monkeypatch.setattr(linalg.Kernel, "vector", counting_vector)
     return calls
 
@@ -572,11 +580,20 @@ def kernel_calls(monkeypatch):
 @pytest.mark.parametrize("build, name", GUARDED,
                          ids=lambda x: getattr(x, "__name__", x))
 def test_one_solve_per_stage_and_degree(kernel_calls, build, name):
-    # stages 2..N each eliminate the differential out of (q, d) once per d;
-    # the boundaries are read off the next matrix's columns unsolved
+    # stages 2..N each take the kernel out of (q, d) once per d and
+    # eliminate it only where the counts leave it open: with H_{q-1} killed,
+    # no cycles below make d_q zero and as many cycles below as words make
+    # it injective; stage 2 reads no free list below d_1.  The boundaries
+    # are read off the next matrix's columns unsolved
     N, D = 5, 10
-    build(load_pres(name), N, D)
-    assert kernel_calls["eliminations"] == (N - 1) * (D + 1)
+    t = build(load_pres(name), N, D)
+    counted = dict(kernel_calls)  # the solved() calls below eliminate too
+    left_open = sum(q == 1 or len(t.solved(q - 1, d)) not in (0, len(t.piece(q, d)))
+                    for q in range(1, N) for d in range(D + 1))
+    assert counted["eliminations"] == left_open
+    assert counted["eliminations"] + counted["decided"] == (N - 1) * (D + 1)
+    if build is build_acyclic_closure:
+        assert counted["decided"] > 0
 
 
 @pytest.mark.parametrize("build, name", GUARDED,
@@ -618,8 +635,9 @@ def test_cached_pieces_match_a_fresh_enumeration(build, name):
 
 def test_patterns_enumerated_once_per_degree_and_stage(monkeypatch, capsys):
     # the closure job deviations --N 10 on m2zero_f2 lays out 3854 blocks of
-    # positive homological degree; a stage enumerates each degree's patterns
-    # at most once, up to D, and every layout of that degree filters the list
+    # positive homological degree; a tower enumerates each degree's patterns
+    # at most once, up to D, every layout of that degree filters the list,
+    # and adjoining a variable of that degree puts it in front of the list
     enumerations = collections.Counter()
     leaves = 0
     patterns = ExtensionTower._patterns
@@ -627,7 +645,7 @@ def test_patterns_enumerated_once_per_degree_and_stage(monkeypatch, capsys):
     def counted(tower, n, cap):
         nonlocal leaves
         out = patterns(tower, n, cap)
-        enumerations[(tower.variables[-1].hdeg, n)] += 1
+        enumerations[(tower, n)] += 1
         leaves += len(out)
         return out
 
@@ -672,6 +690,36 @@ def test_koszul_kernels_from_free_rows_match_all_rows():
     t = koszul_complex(load_pres("m2zero_q"), 8)
     taken = check_kernels(t, 3, 8)
     assert any(rows is not None and len(rows) > rank for _, _, rows, rank in taken)
+
+
+def test_count_rule_fires_only_where_acyclicity_is_recorded():
+    # as many rows at the free columns below as words make d_n injective
+    # only where H_{n-1} = 0 in degree d; every kernel must match the kernel
+    # of all rows on towers where that is not recorded.  Koszul complex on
+    # x^2, xy, y^2: H_1 != 0 in degree 3
+    pres = load_pres("m2zero_q")
+    check_kernels(koszul_complex(pres, 8), 3, 8)
+    # H_1 killed through degree 3 only
+    t = build_minimal_model(pres, 1, 12)
+    minimal_generators(t, 1, 3)
+    check_kernels(t, 2, 12)
+    # H_1 killed through degree 2, then one cycle of degree 3 killed twice:
+    # d_2 in degree 3 has as many words as cycles below, and a kernel
+    d, z = minimal_generators(build_minimal_model(pres, 1, 12), 1, 3)[0]
+    t = build_minimal_model(pres, 1, 12)
+    minimal_generators(t, 1, 2)
+    for name in ("w1", "w2"):
+        t.adjoin(name, 2, d, Element(t, z.terms))
+    taken = check_kernels(t, 2, 12)
+    assert (2, 3, 2, 1) in [(n, e, len(rows), rank) for n, e, rows, rank in taken if rows]
+    # H_1 = 0 recorded on the model of k[x]/(x^2), then a second variable
+    # killing x^2 and a cycle w of bidegree (2, 2): the record must go
+    t = build_minimal_model(load_pres("hyp_q"), 1, 8)
+    minimal_generators(t, 1, 8)
+    t.adjoin("y", 1, 2, t.ground_element({(2,): t.field.one}))
+    t.adjoin("w", 2, 2, None)
+    taken = check_kernels(t, 2, 8)
+    assert (2, 2, 1, 0) in [(n, e, len(rows), rank) for n, e, rows, rank in taken if rows]
 
 
 def test_adjoin_drops_the_free_lists_it_reaches():
@@ -759,6 +807,49 @@ def test_model_job_reduces_few_boundaries(monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert total[0] - sum(adds for _, adds, _ in stats) <= 3190
+
+
+# the closure_fp and model_q jobs of perfbench/jobs.py, with the columns
+# assembled, the eliminations and the pattern enumerations of each; every
+# kernel used to be assembled and eliminated and every stage enumerated each
+# degree's patterns anew: (4876, 117, 19) on each closure job, (10099, 78,
+# 14) on the model job and (1637, 65, 12) on aq-ranks
+BUILD_COUNTS = [
+    ("m2zero_f2", ("deviations", "--N", "10"), (1816, 13, 11)),
+    ("m2zero_f5", ("betti", "--N", "10"), (1816, 13, 11)),
+    ("m2zero_q", ("deviations", "--route", "minimal-model", "--N", "8"), (7316, 48, 8)),
+    ("xsq_xy_q", ("aq-ranks",), (1158, 43, 7)),
+]
+
+
+@pytest.mark.parametrize("instance, argv, want", BUILD_COUNTS,
+                         ids=[b[0] + "-" + b[1][0] for b in BUILD_COUNTS])
+def test_benchmark_jobs_build_only_what_a_stage_reads(monkeypatch, capsys, instance,
+                                                      argv, want):
+    counts = collections.Counter()
+    columns, init, patterns = (ExtensionTower.columns, linalg.Kernel.__init__,
+                               ExtensionTower._patterns)
+
+    def counting_columns(tower, n, d):
+        for col in columns(tower, n, d):
+            counts["columns"] += 1
+            yield col
+
+    def counting_init(self, *args):
+        counts["eliminations"] += 1
+        init(self, *args)
+
+    def counting_patterns(tower, n, cap):
+        counts["patterns"] += 1
+        return patterns(tower, n, cap)
+
+    monkeypatch.setattr(ExtensionTower, "columns", counting_columns)
+    monkeypatch.setattr(linalg.Kernel, "__init__", counting_init)
+    monkeypatch.setattr(ExtensionTower, "_patterns", counting_patterns)
+    code = cli.main(list(argv) + ["--input", os.path.join(CATALOG, instance + ".json")])
+    capsys.readouterr()
+    assert code == 0
+    assert (counts["columns"], counts["eliminations"], counts["patterns"]) == want
 
 
 def test_deep_model_route_matches_the_betti_oracle(capsys):
