@@ -24,10 +24,11 @@ Conventions fixed once and for all:
   * a piece is laid out in blocks, one per admissible exponent pattern X
     in a fixed enumeration order: block X holds the words s*X, s over the
     standard ground monomials of the leftover internal degree b, so all
-    matrices are reproducible.  The patterns of one homological degree are
-    enumerated once, up to the tower's internal bound, with their internal
-    degrees; each piece of that degree keeps, in that order, the patterns
-    whose leftover degree has standard monomials;
+    matrices are reproducible.  The patterns of homological degree n are
+    the lone degree-n variables, latest first, then the patterns of the
+    variables below n, enumerated once up to the tower's internal bound
+    with their internal degrees; each piece of degree n keeps, in that
+    order, the patterns whose leftover degree has standard monomials;
   * the one ground-monomial shift is a table per (monomial m, degree b):
     for each standard s of degree b, the reduced s*m as (basis index,
     scalar) pairs.  A differential fills block X from d(1*X), the only
@@ -45,8 +46,9 @@ a tuple of (variable index, exponent) pairs sorted by index.
 """
 
 from bisect import bisect_right
+from itertools import chain
 from math import comb
-from operator import add, itemgetter
+from operator import add, attrgetter, itemgetter
 
 from . import linalg
 from .presentations import join_terms
@@ -163,8 +165,8 @@ class ExtensionTower:
     Towers are frozen once their builder returns them, unless a caller
     hands one to ``resolution.minimal_generators``, which adjoins the next
     stage; ``adjoin`` is the builders' constructor step and drops exactly
-    the cached pieces a new variable can touch, and extends the one
-    pattern list it can.
+    the cached records a new variable reaches, each keyed (kind, n, d) by
+    the highest bidegree of variable it can read.
     """
 
     def __init__(self, ground, flavor, nmax=None, dmax=None):
@@ -181,7 +183,6 @@ class ExtensionTower:
         # zero, so the shifts of distinct monomials never merge
         self._merges = any(len(f) > 1 for f in ground.relators)
         self._cache = {}
-        self._acyclic = {}  # n -> D: H_n = 0 in internal degrees 0..D
         self._dwords = {}
         self._shifts = {}
 
@@ -215,26 +216,19 @@ class ExtensionTower:
         # a variable of bidegree (h, i) adds words only to pieces (n, d)
         # with n >= h and d >= i; every other piece keeps its words, and
         # the differential out of it, whose free list is keyed (n, d),
-        # keeps its target (n - 1, d).  Of the patterns of degree h it adds
-        # one, itself alone, first in the enumeration order (it is the last
-        # variable, and no later one fits beside it), so a list of degree h
-        # up to cap >= i is extended; every other key it reaches is dropped.
-        # It adds only boundaries to H_{h-1} and leaves H_n, n < h - 1,
-        # alone, so it keeps the record that H_n = 0 for n < h.
-        alone = (((var.index, 1),), ideg)
+        # keeps its target (n - 1, d).  The patterns of degree n built from
+        # variables of degree < n, keyed (n - 1, cap), gain it only for
+        # n > h.  It adds only boundaries to H_{h-1}, so the record that
+        # H_n = 0 in degree d, keyed (n, d), goes only for n >= h.
         for key in [k for k in self._cache if k[1] >= hdeg and k[2] >= ideg]:
-            if key[:2] == ("patterns", hdeg):
-                self._cache[key] = (alone,) + self._cache[key]
-            else:
-                del self._cache[key]
-        self._acyclic = {n: D for n, D in self._acyclic.items() if n < hdeg}
+            del self._cache[key]
         return var
 
     def mark_acyclic(self, n, D):
-        """Record that H_n = 0 in internal degrees 0..D, which ``kernel``
-        reads; it holds until a variable of homological degree <= n is
-        adjoined."""
-        self._acyclic[n] = max(D, self._acyclic.get(n, D))
+        """Record that H_n = 0 in internal degrees 0..D, one ("acyclic", n,
+        d) record per degree, which ``kernel`` reads; ``adjoin`` drops the
+        record of degree d with a variable of bidegree <= (n, d)."""
+        self._cache.update((("acyclic", n, d), True) for d in range(D + 1))
 
     def variable_element(self, var):
         return Element.from_word(self, (self._unit, ((var.index, 1),)))
@@ -360,10 +354,11 @@ class ExtensionTower:
         leftover internal degree b = d - i has standard ground monomials;
         its words s * ext, s over the standard monomials of degree b, sit at
         coordinates off, off + 1, ...  index maps each ext to its block.
-        The blocks are a filter over the patterns of degree n enumerated
-        once up to the tower's internal bound (d itself for an unbounded
-        tower): a larger bound only adds exponent branches, so the kept
-        patterns come in the same order as an enumeration up to d.
+        The blocks are a filter over the patterns of degree n: the lone
+        degree-n variables, latest first, then the patterns of the variables
+        below n enumerated once up to the tower's internal bound (d itself
+        for an unbounded tower): a larger bound only adds exponent branches,
+        so the kept patterns come in the same order as an enumeration up to d.
         """
         if n < 0 or d < 0:
             return (), {}, 0
@@ -376,14 +371,16 @@ class ExtensionTower:
         if layout is not None:
             return layout
         cap = d if self.dmax is None else self.dmax
-        pkey = ("patterns", n, cap)
+        pkey = ("patterns", n - 1, cap)
         patterns = self._cache.get(pkey)
         if patterns is None:
             patterns = self._cache[pkey] = self._patterns(n, cap)
+        lo, hi = (bisect_right(self.variables, h, key=attrgetter("hdeg")) for h in (n - 1, n))
+        lone = ((((v.index, 1),), v.ideg) for v in reversed(self.variables[lo:hi]))
         widths = [len(self.ground.quotient_basis(b)) for b in range(d + 1)]
         blocks = []
         size = 0
-        for ext, i in patterns:
+        for ext, i in chain(lone, patterns):
             if i <= d and (width := widths[d - i]):
                 blocks.append((ext, d - i, size))
                 size += width
@@ -393,12 +390,13 @@ class ExtensionTower:
 
     def _patterns(self, n, cap):
         """Extension patterns of homological degree n and internal degree
-        at most cap, as (ext, internal degree) in the enumeration order."""
+        at most cap in the variables below n, as (ext, internal degree) in
+        the enumeration order."""
         if not n:
             return (((), 0),)
         out = []
         variables = self.variables
-        hdegs = [v.hdeg for v in variables]
+        hdegs = [v.hdeg for v in variables if v.hdeg < n]
 
         def rec(i, h, dd, acc):
             # the next factor is v_j^e for some j >= i with hdeg <= h (hdeg
@@ -507,7 +505,7 @@ class ExtensionTower:
 
         Two counts decide the kernel with no assembly and no elimination.
         No rows named: d_n is zero, and every column is free.  H_{n-1} = 0
-        recorded through d (``mark_acyclic``) and as many rows as words:
+        recorded in degree d (``mark_acyclic``) and as many rows as words:
         the rank is the number of rows, so d_n is injective.  The free list
         is kept under ("free", n, d) for the kernel out of (n + 1, d), and
         ``adjoin`` drops it with the piece (n, d).
@@ -516,7 +514,7 @@ class ExtensionTower:
         size = self._layout(n, d)[2]
         if rows == []:
             kernel = linalg.Kernel.of_units(list(range(size)), self.field)
-        elif rows is not None and len(rows) == size and self._acyclic.get(n - 1, -1) >= d:
+        elif rows is not None and len(rows) == size and ("acyclic", n - 1, d) in self._cache:
             kernel = linalg.Kernel.of_units([], self.field)
         else:
             cols, nrows = self.matrix(n, d)

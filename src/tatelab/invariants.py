@@ -23,13 +23,13 @@ class InsufficientCertification(ValueError):
 
 class DeviationTable:
     """Counts eps_n for a range of n, with their certification bound;
-    ``degrees[n]`` lists the internal degrees of the eps_n variables."""
+    ``degrees[n]`` lists the internal degrees <= D of the eps_n variables."""
 
     def __init__(self, route, N, D, degrees):
         self.route = route
         self.N = N
         self.D = D
-        self.degrees = {n: list(ds) for n, ds in degrees.items()}
+        self.degrees = {n: [d for d in ds if d <= D] for n, ds in degrees.items()}
         self.counts = {n: len(ds) for n, ds in self.degrees.items()}
 
     def __getitem__(self, n):

@@ -124,9 +124,10 @@ def _monomials(weights, d):
     # descending lex within fixed weighted degree d
     if not weights:
         return [()] if d == 0 else []
+    w0, rest = weights[0], weights[1:]
+    if not rest:  # the last exponent is what the others leave, if w0 divides it
+        return [] if d % w0 else [(d // w0,)]
     out = []
-    w0 = weights[0]
-    rest = weights[1:]
     for e in range(d // w0, -1, -1):
         for tail in _monomials(rest, d - e * w0):
             out.append((e,) + tail)

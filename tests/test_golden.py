@@ -64,6 +64,9 @@ def jobs():
             yield name, argv + ["--format", fmt]
     yield "m2zero_f2", ["model-print", "--N", "10"]
     yield "m2zero_q", ["model-print", "--route", "minimal-model", "--N", "8"]
+    # a closure deep enough that each homological degree holds dozens of
+    # variables, so the order of their lone patterns is exercised
+    yield "m2zero_q", ["model-print", "--route", "acyclic-closure", "--N", "12", "--D", "14"]
 
 
 def run_all(tmpdir):

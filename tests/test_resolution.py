@@ -1,6 +1,7 @@
 """Koszul complexes, homology dimensions, and staged tower construction."""
 
 import collections
+import copy
 import json
 import os
 import random
@@ -620,24 +621,69 @@ def test_kernel_vectors_solved_only_for_new_generators(monkeypatch, kernel_calls
 @pytest.mark.parametrize("build, name", GUARDED,
                          ids=lambda x: getattr(x, "__name__", x))
 def test_cached_pieces_match_a_fresh_enumeration(build, name):
-    # adjoin drops only the pattern lists, layouts and kernel free lists a
-    # new variable reaches; whatever it keeps must still be what an empty
-    # cache computes, a free list from all rows of the differential
+    # adjoin drops only the pattern lists, layouts, kernel free lists and
+    # acyclicity records a new variable reaches; whatever it keeps must
+    # still be what an empty cache computes: the patterns of degree n in
+    # the variables below n under (n - 1, cap), a free list from all rows
+    # of the differential, and H_n = 0 in degree d from full eliminations,
+    # the rank of d_{n+1} being the free count of d_n
     t = build(load_pres(name), 5, 10)
     cached = dict(t._cache)
-    assert {key[0] for key in cached} == {"patterns", "layout", "free"}
-    fresh = {"patterns": t._patterns, "layout": t._layout,
-             "free": lambda n, d: linalg.Kernel(*t.matrix(n, d), t.field).free}
+    assert {key[0] for key in cached} == {"patterns", "layout", "free", "acyclic"}
+
+    def kernel(n, d):
+        return linalg.Kernel(*t.matrix(n, d), t.field)
+
+    fresh = {"patterns": lambda n, cap: t._patterns(n + 1, cap), "layout": t._layout,
+             "free": lambda n, d: kernel(n, d).free,
+             "acyclic": lambda n, d: len(kernel(n + 1, d).pivots) == len(kernel(n, d).free)}
     for (kind, n, d), value in cached.items():
         t._cache.clear()
         assert fresh[kind](n, d) == value, (kind, n, d)
 
 
+@pytest.mark.parametrize("build, name", GUARDED,
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_adjoin_only_deletes(monkeypatch, build, name):
+    # a builder reads pieces, kernels and acyclicity records between its
+    # adjoins; each adjoin of bidegree (h, i) deletes the records keyed
+    # (kind, n, d) with n >= h and d >= i, and leaves every other record
+    # the same object with the same value: no edit in place, no copy
+    adjoin = ExtensionTower.adjoin
+    seen = collections.Counter()
+
+    def checked(tower, name, hdeg, ideg, dval):
+        before = dict(tower._cache)
+        values = copy.deepcopy(before)
+        var = adjoin(tower, name, hdeg, ideg, dval)
+        kept = {k for k in before if k[1] < hdeg or k[2] < ideg}
+        assert set(tower._cache) == kept, (hdeg, ideg)
+        for key in kept:
+            assert tower._cache[key] is before[key] and before[key] == values[key], key
+            seen[key[0]] += 1
+        return var
+
+    monkeypatch.setattr(ExtensionTower, "adjoin", checked)
+    build(load_pres(name), 5, 10)
+    assert set(seen) == {"patterns", "layout", "free", "acyclic"}, seen
+
+
+def test_adjoin_deletes_the_acyclicity_records_it_reaches():
+    # H_1 = 0 recorded through degree 8 on the model of k[x]/(x^2); a
+    # second variable of bidegree (1, 2) reaches degrees 2..8 of it only
+    t = build_minimal_model(load_pres("hyp_q"), 1, 8)
+    minimal_generators(t, 1, 8)
+    t.adjoin("y", 1, 2, t.ground_element({(2,): t.field.one}))
+    assert sorted(k for k in t._cache if k[0] == "acyclic") == [("acyclic", 1, 0),
+                                                                 ("acyclic", 1, 1)]
+
+
 def test_patterns_enumerated_once_per_degree_and_stage(monkeypatch, capsys):
     # the closure job deviations --N 10 on m2zero_f2 lays out 3854 blocks of
     # positive homological degree; a tower enumerates each degree's patterns
-    # at most once, up to D, every layout of that degree filters the list,
-    # and adjoining a variable of that degree puts it in front of the list
+    # at most once, up to D, in the variables below that degree, and every
+    # layout of that degree reads the lone patterns of its own variables
+    # first, then filters the list
     enumerations = collections.Counter()
     leaves = 0
     patterns = ExtensionTower._patterns
