@@ -29,12 +29,13 @@ Conventions fixed once and for all:
     variables below n, enumerated once up to the tower's internal bound
     with their internal degrees; each piece of degree n keeps, in that
     order, the patterns whose leftover degree has standard monomials;
-  * the one ground-monomial shift is a table per (monomial m, degree b):
-    for each standard s of degree b, the reduced s*m as (basis index,
-    scalar) pairs.  A differential fills block X from d(1*X), the only
-    word differential cached, by shifting each of its terms, and
-    ``times_monomial`` (d(m*X) for a word with m != 1) reads the same
-    tables;
+  * the one ground-monomial shift is the ground ring's table per
+    (monomial m, degree b), ``Presentation.shift``: for each standard s of
+    degree b, the reduced s*m as (basis index, scalar) pairs.  The ring
+    caches it, so every tower over one ring reads the same tables.  A
+    differential fills block X from d(1*X), the only word differential
+    cached, by shifting each of its terms, and d(m*X) for a word with
+    m != 1 reads the same tables;
   * ``kernel(n, d)`` keeps the free columns of the kernel it takes, and
     the kernel out of (n + 1, d) eliminates only its rows there, or none
     when those rows decide it: no rows make the differential zero, and as
@@ -48,7 +49,7 @@ a tuple of (variable index, exponent) pairs sorted by index.
 from bisect import bisect_right
 from itertools import chain
 from math import comb
-from operator import add, attrgetter, itemgetter
+from operator import attrgetter, itemgetter
 
 from . import linalg
 from .presentations import join_terms
@@ -166,10 +167,11 @@ class ExtensionTower:
     hands one to ``resolution.minimal_generators``, which adjoins the next
     stage; ``adjoin`` is the builders' constructor step and drops exactly
     the cached records a new variable reaches, each keyed (kind, n, d) by
-    the highest bidegree of variable it can read.
+    the highest bidegree of variable it can read.  Ground-monomial shift
+    tables belong to the ground ring (``Presentation.shift``).
     """
 
-    def __init__(self, ground, flavor, nmax=None, dmax=None):
+    def __init__(self, ground, flavor, dmax, nmax=None):
         if flavor not in ("plain", "gamma"):
             raise TowerError("flavor must be 'plain' or 'gamma'")
         self.ground = ground
@@ -184,7 +186,6 @@ class ExtensionTower:
         self._merges = any(len(f) > 1 for f in ground.relators)
         self._cache = {}
         self._dwords = {}
-        self._shifts = {}
 
     # -- construction ---------------------------------------------------
 
@@ -236,18 +237,6 @@ class ExtensionTower:
     def ground_element(self, elem):
         """Reduced ground element {mono: scalar} -> degree-zero tower element."""
         return Element(self, {(m, ()): c for m, c in elem.items()})
-
-    def times_monomial(self, elem, s):
-        """s * elem for a ground monomial s: each word's monomial times s,
-        reduced in the ground ring, read off the shift table of s."""
-        ground, f, k = self.ground, self.field, self.ground.degree_of(s)
-        terms = []
-        for (m, x), c in elem.terms.items():
-            b = ground.degree_of(m)
-            basis = ground.quotient_basis(b + k)
-            row = self._shift(s, b)[ground.basis_index(b)[m]]
-            terms += [((basis[j], x), f.mul(c, r)) for j, r in row]
-        return Element(self, linalg.add_into({}, terms, f))
 
     # -- word structure ---------------------------------------------------
 
@@ -312,11 +301,12 @@ class ExtensionTower:
     def word_differential(self, word):
         """d(word) from the cached differential of a shorter word.
 
-        For a ground monomial m != 1, d(m * X) = m * d(1 * X): its monomials
-        times m, reduced.  For the last factor v^e of a pure word a * v^e,
-        d(a * v^e) = d(a) * v^e + (-1)^{|a|} k * a * d(v) * v^(e-1), with
-        k = e for a polynomial v and 1 otherwise; d(a) and a * d(v) use only
-        variables before v, so v^e and v^(e-1) are plain, unsigned suffixes.
+        For a ground monomial m != 1, d(m * X) = m * d(1 * X): each term's
+        monomial times m, read off the ground ring's shift table of m.  For
+        the last factor v^e of a pure word a * v^e, d(a * v^e) = d(a) * v^e
+        + (-1)^{|a|} k * a * d(v) * v^(e-1), with k = e for a polynomial v
+        and 1 otherwise; d(a) and a * d(v) use only variables before v, so
+        v^e and v^(e-1) are plain, unsigned suffixes.
         A word with no extension part has d = 0, and only pure words, of
         monomial 1, are cached.
         """
@@ -326,9 +316,16 @@ class ExtensionTower:
         mono, ext = word
         if not ext:
             return Element.zero(self)
-        if any(mono):
-            return self.times_monomial(self.word_differential((self._unit, ext)), mono)
         f = self.field
+        if any(mono):
+            ground, k = self.ground, self.ground.degree_of(mono)
+            terms = []
+            for (m, x), c in self.word_differential((self._unit, ext)).terms.items():
+                b = ground.degree_of(m)
+                basis = ground.quotient_basis(b + k)
+                row = ground.shift(mono, b)[ground.basis_index(b)[m]]
+                terms += [((basis[j], x), f.mul(c, r)) for j, r in row]
+            return Element(self, linalg.add_into({}, terms, f))
         left, (idx, e) = ext[:-1], ext[-1]
         v = self.variables[idx]
         out = {(m, x + ext[-1:]): c for (m, x), c
@@ -356,25 +353,24 @@ class ExtensionTower:
         coordinates off, off + 1, ...  index maps each ext to its block.
         The blocks are a filter over the patterns of degree n: the lone
         degree-n variables, latest first, then the patterns of the variables
-        below n enumerated once up to the tower's internal bound (d itself
-        for an unbounded tower): a larger bound only adds exponent branches,
-        so the kept patterns come in the same order as an enumeration up to d.
+        below n enumerated once up to the tower's internal bound: a bound
+        above d only adds exponent branches, so the kept patterns come in the
+        same order as an enumeration up to d.
         """
         if n < 0 or d < 0:
             return (), {}, 0
         if self.nmax is not None and n > self.nmax + 1:
             raise TowerError("homological bound exceeded: %d > %d" % (n, self.nmax + 1))
-        if self.dmax is not None and d > self.dmax:
+        if d > self.dmax:
             raise TowerError("internal bound exceeded: %d > %d" % (d, self.dmax))
         key = ("layout", n, d)
         layout = self._cache.get(key)
         if layout is not None:
             return layout
-        cap = d if self.dmax is None else self.dmax
-        pkey = ("patterns", n - 1, cap)
+        pkey = ("patterns", n - 1, self.dmax)
         patterns = self._cache.get(pkey)
         if patterns is None:
-            patterns = self._cache[pkey] = self._patterns(n, cap)
+            patterns = self._cache[pkey] = self._patterns(n, self.dmax)
         lo, hi = (bisect_right(self.variables, h, key=attrgetter("hdeg")) for h in (n - 1, n))
         lone = ((((v.index, 1),), v.ideg) for v in reversed(self.variables[lo:hi]))
         widths = [len(self.ground.quotient_basis(b)) for b in range(d + 1)]
@@ -417,21 +413,6 @@ class ExtensionTower:
         rec(0, n, cap, [])
         return tuple(out)
 
-    def _shift(self, mono, b):
-        """Shift table of a ground monomial on degree b: row i holds the
-        reduced s * mono, for the i-th standard monomial s of degree b, as
-        (index in the degree-(b + |mono|) basis, scalar) pairs."""
-        key = (mono, b)
-        rows = self._shifts.get(key)
-        if rows is None:
-            ground = self.ground
-            index = ground.basis_index(b + ground.degree_of(mono))
-            rows = self._shifts[key] = tuple(
-                tuple((index[sm], r) for sm, r in ground.reduce_monomial(
-                    tuple(map(add, s, mono))).items())
-                for s in ground.quotient_basis(b))
-        return rows
-
     def piece(self, n, d):
         """Ordered word basis of the bidegree-(n, d) piece, block by block."""
         blocks = self._layout(n, d)[0]
@@ -471,12 +452,12 @@ class ExtensionTower:
         """
         blocks = self._layout(n, d)[0]
         target = self._layout(n - 1, d)[1]
-        f, unit, quotient_basis = self.field, self._unit, self.ground.quotient_basis
+        f, unit, ground = self.field, self._unit, self.ground
         for ext, b, _ in blocks:
-            terms = [(blk[2], c, self._shift(m, b)) for (m, x), c
+            terms = [(blk[2], c, ground.shift(m, b)) for (m, x), c
                      in self.word_differential((unit, ext)).terms.items()
                      if (blk := target.get(x))]
-            width = range(len(quotient_basis(b)))
+            width = range(len(ground.quotient_basis(b)))
             if self._merges:
                 for i in width:
                     yield linalg.add_into({}, ((off + j, f.mul(c, r)) for off, c, rows in terms

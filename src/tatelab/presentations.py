@@ -11,8 +11,9 @@ Everything is finite linear algebra per internal degree: the degree-d
 monomials of the quotient are the complement of the relator-multiple
 span, selected by reduced row echelon pivoting under the fixed monomial
 order (graded lexicographic for the declared variable order; within one
-degree that is descending lex on exponent tuples).  Per-degree data is
-cached idempotently, so instances are safe for concurrent read-only use.
+degree that is descending lex on exponent tuples).  Per-degree data and
+the shift tables every tower over the ring reads (``shift``) are cached
+idempotently, so instances are safe for concurrent read-only use.
 """
 
 import re
@@ -178,7 +179,8 @@ class Presentation:
         for f in relators:
             if not isinstance(f, dict):
                 f = parse_polynomial(f, self.names)
-            if all(field.is_zero(field.from_int(c)) for c in f.values()):
+            f = {m: c for m, c in f.items() if not field.is_zero(field.from_int(c))}
+            if not f:
                 raise PresentationError("zero relator")
             degs = {self.degree_of(m) for m in f}
             if len(degs) != 1:
@@ -192,7 +194,7 @@ class Presentation:
                 raise PresentationError(
                     "relator with a linear term: kernel must lie inside "
                     "the square of the maximal ideal")
-            rels.append(dict(f))
+            rels.append(f)
         self.relators = tuple(rels)
         if base is not None:
             if base.field != field:
@@ -356,6 +358,19 @@ class Presentation:
             out = {mono: self.field.one}
         self._cache[key] = out
         return out
+
+    def shift(self, mono, b):
+        """Shift table of a monomial on degree b: row i holds the reduced
+        s * mono, for the i-th standard monomial s of degree b, as (index in
+        the degree-(b + |mono|) basis, scalar) pairs."""
+        key = ("shift", mono, b)
+        if key not in self._cache:
+            index = self.basis_index(b + self.degree_of(mono))
+            self._cache[key] = tuple(
+                tuple((index[sm], r) for sm, r
+                      in self.reduce_monomial(tuple(map(add, s, mono))).items())
+                for s in self.quotient_basis(b))
+        return self._cache[key]
 
     def normal_form(self, poly):
         """Reduce {mono: field scalar} to standard monomials (any degrees mixed)."""

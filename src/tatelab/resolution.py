@@ -56,12 +56,12 @@ def kernel_generators(pres):
     return gens
 
 
-def koszul_complex(pres, D=None):
-    """Exterior tower over the base with one degree-1 variable per relator
-    beyond the base, in relator order, with the relator as differential."""
+def koszul_complex(pres, D):
+    """Exterior tower over the base through degree D, one degree-1 variable
+    per relator beyond the base, in relator order, with it as differential."""
     ground = pres.free_base()
     rels = pres.relators[len(ground.relators):]
-    tower = ExtensionTower(ground, "plain", nmax=None, dmax=D)
+    tower = ExtensionTower(ground, "plain", dmax=D)
     for i, f in enumerate(rels):
         g = ground.from_int_poly(f)
         d = pres.degree_of(next(iter(f)))
@@ -69,10 +69,10 @@ def koszul_complex(pres, D=None):
     return tower
 
 
-def koszul_on_minimal_generators(pres, D=None):
-    """Koszul tower on a minimal generating set of the kernel ideal."""
+def koszul_on_minimal_generators(pres, D):
+    """Koszul tower through degree D on a minimal generating set of the kernel ideal."""
     ground = pres.free_base()
-    tower = ExtensionTower(ground, "plain", nmax=None, dmax=D)
+    tower = ExtensionTower(ground, "plain", dmax=D)
     for i, (d, g) in enumerate(kernel_generators(pres)):
         tower.adjoin("y%d" % (i + 1), 1, d, tower.ground_element(g))
     return tower

@@ -14,7 +14,8 @@ from tatelab.audits import AuditReport
 from tatelab.cli import COMMANDS, main
 from tatelab.presentations import Presentation
 
-from conftest import CATALOG
+from conftest import CATALOG, load_doc
+from test_golden import TABLE_COMMANDS
 
 
 def cat(name):
@@ -286,6 +287,27 @@ def test_malformed_relators_rejected(tmp_path, capsys, relators,
            "base_relators": base_relators}
     code, out, err = run(capsys, "ci-check", "--input", _write_doc(tmp_path, doc))
     _assert_one_line_error(code, out, err, message)
+
+
+@pytest.mark.parametrize("relators, base_relators", [
+    (["x^2", "2*x + y^2"], []),
+    (["2*x + y^2", "x^2"], ["2*x + y^2"]),
+], ids=["relators", "base_relators"])
+def test_terms_that_vanish_in_the_field_are_dropped(tmp_path, capsys, relators,
+                                                    base_relators):
+    # over F_2, 2*x + y^2 is y^2: the instance answers every single-instance
+    # command, in both formats, with the bytes of the one written with y^2
+    doc = dict(load_doc("cidiag_f2"), relators=relators, base_relators=base_relators)
+    same = {key: [f.replace("2*x + ", "") for f in doc[key]]
+            for key in ("relators", "base_relators")}
+    path, ref = _write_doc(tmp_path, doc), str(tmp_path / "ref.json")
+    with open(ref, "w") as fh:
+        json.dump(dict(doc, **same), fh)
+    for argv in TABLE_COMMANDS:
+        for fmt in ("table", "json"):
+            want = run(capsys, *argv, "--input", ref, "--format", fmt)
+            assert run(capsys, *argv, "--input", path, "--format", fmt) == want, argv
+            assert want[0] == 0, argv
 
 
 @pytest.mark.parametrize("witness, message", [

@@ -60,6 +60,20 @@ def test_zero_relator_rejected():
         P(["x^2 - x^2"])
 
 
+@pytest.mark.parametrize("relator", ["2*x + y^2", "2*x^3 + y^2", "y^2 + 4*x*y^5"])
+def test_terms_that_vanish_in_the_field_are_dropped(relator):
+    # over F_2 each relator is y^2: its zero terms count in no check, and
+    # the stored relator is the reduced one
+    f2 = PrimeField(2)
+    assert P(["x^2", relator], field=f2).relators == ({(2, 0): 1}, {(0, 2): 1})
+    doc = {"field": {"type": "Fp", "p": 2},
+           "variables": [{"name": "x", "degree": 1}, {"name": "y", "degree": 1}],
+           "relators": ["y^2", "x^2"], "base_relators": [relator]}
+    assert parse_presentation(doc).base.relators == ({(0, 2): 1},)
+    with pytest.raises(PresentationError):
+        P(["x^2", relator])
+
+
 def test_duplicate_variable_names_rejected():
     with pytest.raises(PresentationError):
         P([], variables=[("x", 1), ("x", 1)])
@@ -195,6 +209,34 @@ def test_ideal_span_rows_are_the_multiply_rows():
                 assert [list(r.items()) for r in got] == \
                     [list(r.items()) for r in want], (pres, ring, d)
     assert shortened > 0
+
+
+@pytest.mark.parametrize("name", SINGLE_INSTANCES + TOWER_INSTANCES)
+def test_shift_rows_are_the_multiply_products(name):
+    # row i of shift(m, b) holds the coordinates of the reduced s_i * m, s_i
+    # the i-th standard monomial of degree b, in the ring and its free base
+    # through degree 6; over cidiag_f2 some shifts vanish, and over
+    # hyp_weighted_q some reduce to other monomials
+    doc = load_doc(name)
+    vanish = reduced = 0
+    for pres in build_layer_chain(doc["tower"]) if "tower" in doc else [parse_presentation(doc)]:
+        for ring in (pres, pres.free_base()):
+            one = ring.field.one
+            for k in range(7):
+                for m in ring.quotient_basis(k):
+                    for b in range(7 - k):
+                        rows = ring.shift(m, b)
+                        basis = ring.quotient_basis(b)
+                        assert len(rows) == len(basis)
+                        for s, row in zip(basis, rows):
+                            prod = ring.multiply({s: one}, {m: one})
+                            assert dict(row) == ring.coords(prod, b + k), (ring, m, s)
+                            vanish += not row
+                            reduced += bool(row) and tuple(map(sum, zip(s, m))) not in prod
+    if name == "cidiag_f2":
+        assert vanish
+    if name == "hyp_weighted_q":
+        assert reduced
 
 
 def test_coords_roundtrip():

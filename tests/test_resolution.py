@@ -67,14 +67,14 @@ def test_kernel_generators_empty():
 
 def test_koszul_complex_shape():
     p = P(["x^2", "x*y", "y^2"], base_relators=[])
-    t = koszul_complex(p)
+    t = koszul_complex(p, 12)
     assert [v.name for v in t.variables] == ["y1", "y2", "y3"]
     assert all(v.hdeg == 1 and v.ideg == 2 for v in t.variables)
     assert all(v.flavor == "exterior" for v in t.variables)
 
 
 def test_koszul_complex_empty():
-    t = koszul_complex(P([], base_relators=[]))
+    t = koszul_complex(P([], base_relators=[]), 12)
     assert t.variables == []
 
 
@@ -88,7 +88,7 @@ def test_koszul_on_minimal_generators_trims():
 
 def test_homology_piece_x2_xy():
     p = P(["x^2", "x*y"], base_relators=[])
-    t = koszul_complex(p)
+    t = koszul_complex(p, 12)
     assert homology_dim(t, 1, 3) == 1
     assert [str(z) for _, z in minimal_generators(t, 1, 3)] == ["y*y1 - x*y2"]
 
@@ -100,7 +100,7 @@ def test_package_exports_resolve():
 
 def test_homology_vanishes_for_regular_sequence():
     p = P(["x^2", "y^3"], base_relators=[])
-    t = koszul_complex(p)
+    t = koszul_complex(p, 12)
     for d in range(0, 13):
         assert homology_dim(t, 1, d) == 0, d
     for d in range(0, 13):
@@ -109,7 +109,7 @@ def test_homology_vanishes_for_regular_sequence():
 
 def test_homology_h0_is_quotient():
     p = P(["x^2", "x*y", "y^2"], base_relators=[])
-    t = koszul_complex(p)
+    t = koszul_complex(p, 12)
     assert homology_dim(t, 0, 0) == 1
     assert homology_dim(t, 0, 1) == 2
     assert homology_dim(t, 0, 2) == 0
@@ -117,14 +117,14 @@ def test_homology_h0_is_quotient():
 
 def test_minimal_generators_of_koszul_h1():
     p = P(["x^2", "x*y", "y^2"], base_relators=[])
-    t = koszul_complex(p)
+    t = koszul_complex(p, 12)
     gens = minimal_generators(t, 1, 12)
     assert [d for d, _ in gens] == [3, 3]
 
 
 def test_minimal_generators_single_for_x2_xy():
     p = P(["x^2", "x*y"], base_relators=[])
-    t = koszul_complex(p)
+    t = koszul_complex(p, 12)
     gens = minimal_generators(t, 1, 12)
     assert len(gens) == 1
     assert gens[0][0] == 3
@@ -415,10 +415,10 @@ SHIFT_RINGS = ["m2zero_q", "m2zero_f5", "xz_over_jz_q"]
 
 @pytest.mark.parametrize("build", TOWER_KINDS, ids=lambda b: b.__name__)
 @pytest.mark.parametrize("name", SHIFT_RINGS)
-def test_times_monomial_is_the_element_product(name, build):
+def test_shifted_word_differential_is_the_element_product(name, build):
     # every multiple s*g of a generator, which is d(s*y) for the variable y
-    # adjoined for g, against the general product of s as a tower element
-    # with g
+    # adjoined for g, read off the ring's shift table of s, against the
+    # general product of s as a tower element with g
     pres, D = _pres(name), 10
     count = reduced = 0
     for q in range(1, 4):
@@ -429,14 +429,29 @@ def test_times_monomial_is_the_element_product(name, build):
         for d in range(D + 1):
             for (e, g), y in zip(gens, adjoined):
                 for s in ground.quotient_basis(d - e) if e < d else ():
-                    prod = t.times_monomial(g, s)
+                    prod = t.word_differential((s, ((y.index, 1),)))
                     assert prod == t.ground_element({s: one}) * g, (q, d, str(g))
-                    assert prod == t.word_differential((s, ((y.index, 1),)))
                     count += 1
                     reduced += len(prod.terms) != len(g.terms)
     assert count >= 10
     if ground.relators:
         assert reduced
+
+
+@pytest.mark.parametrize("build", TOWER_KINDS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize("name", SHIFT_RINGS)
+def test_towers_over_one_ring_share_its_shift_tables(name, build):
+    # the shift tables belong to the ground ring: a second tower over the
+    # same ring reads the tables the first one built and builds none
+    pres = _pres(name)
+    first = build(pres, 4, 10)
+    ground = first.ground
+    tables = {k: v for k, v in ground._cache.items() if k[0] == "shift"}
+    second = build(pres, 4, 10)
+    assert second.ground is ground and tables
+    assert {k: v for k, v in ground._cache.items() if k[0] == "shift"} == tables
+    assert second.dump() == first.dump()
+    assert all(ground._cache[k] is v for k, v in tables.items())
 
 
 @pytest.mark.parametrize("build", TOWER_KINDS, ids=lambda b: b.__name__)
