@@ -82,14 +82,19 @@ def rigidity_audit(pres, N, D):
 def growth_probe(pres, N, D):
     """Non-certifying diagnostic: for non-c.i. instances the deviations are
     expected to grow exponentially; reports max eps_n^(1/n) over the
-    window and flags when it exceeds 1.  Never fails."""
+    window and flags when it exceeds 1.  Never fails.  The deviations are
+    the ring's own, so whether it is a c.i. is asked over the polynomial
+    ring, whatever base the instance declares."""
     notes = []
+    ring = pres.polynomial_ring()
+    over_q = (pres if pres.free_base() is ring
+              else Presentation(pres.field, pres.variables, pres.relators, base=ring))
     if N < 4:
         notes.append("window too small (N < 4): nothing to probe")
-    elif ci_check(pres, D).is_ci == "yes":
+    elif ci_check(over_q, D).is_ci == "yes":
         notes.append("not applicable (complete intersection)")
     else:
-        dev = deviations(pres, N, D, "acyclic-closure")
+        dev = deviations(over_q, N, D, "acyclic-closure")
         eps = {n: dev[n] for n in range(1, N + 1)}
         # eps_n^(1/n) > 1 exactly when eps_n >= 2; the float is display only
         flagged = any(c >= 2 for c in eps.values())

@@ -34,8 +34,9 @@ Conventions fixed once and for all:
     degree b, the reduced s*m as (basis index, scalar) pairs.  The ring
     caches it, so every tower over one ring reads the same tables.  A
     differential fills block X from d(1*X), the only word differential
-    cached, by shifting each of its terms, and d(m*X) for a word with
-    m != 1 reads the same tables;
+    cached, by shifting each of its terms; d(m*X) for a single word with
+    m != 1 is the word product (m*1)*d(1*X), so ``columns`` is the only
+    reader of the tables here;
   * ``kernel(n, d)`` keeps the free columns of the kernel it takes, and
     the kernel out of (n + 1, d) eliminates only its rows there, or none
     when those rows decide it: no rows make the differential zero, and as
@@ -301,12 +302,12 @@ class ExtensionTower:
     def word_differential(self, word):
         """d(word) from the cached differential of a shorter word.
 
-        For a ground monomial m != 1, d(m * X) = m * d(1 * X): each term's
-        monomial times m, read off the ground ring's shift table of m.  For
-        the last factor v^e of a pure word a * v^e, d(a * v^e) = d(a) * v^e
-        + (-1)^{|a|} k * a * d(v) * v^(e-1), with k = e for a polynomial v
-        and 1 otherwise; d(a) and a * d(v) use only variables before v, so
-        v^e and v^(e-1) are plain, unsigned suffixes.
+        For a ground monomial m != 1, d(m * X) = (m * 1) * d(1 * X), the
+        element product, one word product per term.  For the last factor
+        v^e of a pure word a * v^e, d(a * v^e) = d(a) * v^e + (-1)^{|a|} k *
+        a * d(v) * v^(e-1), with k = e for a polynomial v and 1 otherwise;
+        d(a) and a * d(v) use only variables before v, so v^e and v^(e-1)
+        are plain, unsigned suffixes.
         A word with no extension part has d = 0, and only pure words, of
         monomial 1, are cached.
         """
@@ -316,16 +317,10 @@ class ExtensionTower:
         mono, ext = word
         if not ext:
             return Element.zero(self)
-        f = self.field
         if any(mono):
-            ground, k = self.ground, self.ground.degree_of(mono)
-            terms = []
-            for (m, x), c in self.word_differential((self._unit, ext)).terms.items():
-                b = ground.degree_of(m)
-                basis = ground.quotient_basis(b + k)
-                row = ground.shift(mono, b)[ground.basis_index(b)[m]]
-                terms += [((basis[j], x), f.mul(c, r)) for j, r in row]
-            return Element(self, linalg.add_into({}, terms, f))
+            pure = self.word_differential((self._unit, ext))
+            return Element.from_word(self, (mono, ())) * pure
+        f = self.field
         left, (idx, e) = ext[:-1], ext[-1]
         v = self.variables[idx]
         out = {(m, x + ext[-1:]): c for (m, x), c

@@ -11,8 +11,11 @@ Everything is finite linear algebra per internal degree: the degree-d
 monomials of the quotient are the complement of the relator-multiple
 span, selected by reduced row echelon pivoting under the fixed monomial
 order (graded lexicographic for the declared variable order; within one
-degree that is descending lex on exponent tuples).  Per-degree data and
-the shift tables every tower over the ring reads (``shift``) are cached
+degree that is descending lex on exponent tuples).  Every block of
+products s*m, s over the standard monomials of one degree, is a shift
+table (``shift``): the ideal spans behind the per-degree data, the kernel
+generators and the witness check sum its rows, and so does every tower
+over the ring.  Per-degree data and shift tables are cached
 idempotently, so instances are safe for concurrent read-only use.
 """
 
@@ -362,7 +365,9 @@ class Presentation:
     def shift(self, mono, b):
         """Shift table of a monomial on degree b: row i holds the reduced
         s * mono, for the i-th standard monomial s of degree b, as (index in
-        the degree-(b + |mono|) basis, scalar) pairs."""
+        the degree-(b + |mono|) basis, scalar) pairs.  It is the one block
+        of ground products: ``ideal_span`` and the tower's ``columns`` sum
+        its rows, and a tower over the ring shares its tables."""
         key = ("shift", mono, b)
         if key not in self._cache:
             index = self.basis_index(b + self.degree_of(mono))
@@ -389,37 +394,27 @@ class Presentation:
             {}, ((tuple(map(add, m1, m2)), f.mul(c1, c2))
                  for m1, c1 in a.items() for m2, c2 in b.items()), f))
 
-    def coords(self, elem, d):
-        """Sparse coordinates of a reduced degree-d element in the quotient basis."""
-        index = self.basis_index(d)
-        out = {}
-        for m, c in elem.items():
-            if m not in index:
-                raise PresentationError("element has a term of the wrong degree")
-            out[index[m]] = c
-        return out
-
-    def element(self, coords, d):
-        basis = self.quotient_basis(d)
-        return {basis[i]: c for i, c in coords.items()}
-
     def ideal_span(self, gens, d):
         """Coordinates of the degree-d multiples s*g of reduced elements g.
 
-        s runs over the standard monomials of degree d - deg(g); generators
-        of degree > d contribute nothing.  The rows span the degree-d part
-        of the ideal the gens generate.  s*g is the normal form of g with
-        its monomials shifted by s.
+        s runs over the standard monomials of degree b = d - deg(g);
+        generators of degree > d contribute nothing.  The rows span the
+        degree-d part of the ideal the gens generate.  Row s*g sums c times
+        row s of the shift table of (m, b) over the terms c*m of g; zero
+        rows are left out.
         """
+        f = self.field
         rows = []
         for g in gens:
-            e = self.degree_of(next(iter(g)))
-            if e > d:
+            b = d - self.degree_of(next(iter(g)))
+            if b < 0:
                 continue
-            for s in self.quotient_basis(d - e):
-                prod = self.normal_form({tuple(map(add, s, m)): c for m, c in g.items()})
-                if prod:
-                    rows.append(self.coords(prod, d))
+            tables = [(c, self.shift(m, b)) for m, c in g.items()]
+            for i in range(len(self.quotient_basis(b))):
+                row = linalg.add_into({}, ((j, f.mul(c, r)) for c, table in tables
+                                           for j, r in table[i]), f)
+                if row:
+                    rows.append(row)
         return rows
 
     def __repr__(self):

@@ -106,6 +106,20 @@ def test_growth_probe_ci_not_applicable():
     assert any("not applicable" in note for note in rep.notes)
 
 
+def test_growth_probe_asks_ci_over_the_polynomial_ring():
+    # the deviations are the ring's own, so a declared base whose quotient
+    # is a c.i. over it (here by z^2) must not make the probe inapplicable
+    doc = {"field": {"type": "Q"}, "variables": [{"name": v, "degree": 1} for v in "xyz"],
+           "relators": ["x^2", "x*y", "y^2", "z^2"]}
+    over_r = Presentation.from_json(dict(doc, base_relators=["x^2", "x*y", "y^2"]))
+    assert ci_check(over_r, 12).is_ci == "yes"
+    plain = growth_probe(Presentation.from_json(doc), 6, 12)
+    based = growth_probe(over_r, 6, 12)
+    assert based.notes == plain.notes
+    assert plain.notes[0] == "eps(1..6) = [3, 4, 2, 3, 6, 11]"
+    assert "over quotient base" in based.instance
+
+
 def test_growth_probe_small_window():
     rep = growth_probe(load_pres("m2zero_q"), 3, 8)
     assert rep.passed

@@ -125,7 +125,8 @@ def kernel_generators_by_rref(pres):
             sub.add(row)
         for p in pivots:
             if sub.add(red[p]) is not None:
-                gens.append((d, ground.element(red[p], d)))
+                basis = ground.quotient_basis(d)
+                gens.append((d, {basis[i]: c for i, c in red[p].items()}))
     return gens
 
 

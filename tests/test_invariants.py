@@ -40,13 +40,15 @@ def test_m2zero_both_routes():
 
 def test_two_route_agreement_whole_catalog(catalog_presentations):
     # D = 2 and 3 lie below relators of degree 3 and 4 (ci_q, hyp_weighted_q):
-    # a stage-1 model variable above D must not count toward eps_2
+    # a stage-1 model variable above D must not count toward eps_2; the
+    # routes agree degree by degree too (eps_{n,d})
     for name, pres in sorted(catalog_presentations.items()):
         for D in (2, 3, 12):
             tc = deviations(pres, 5, D, "acyclic-closure")
             tm = deviations(pres, 5, D, "minimal-model")
             for n in range(2, 6):
                 assert tm[n] == tc[n], (name, D, n)
+                assert sorted(tm.degrees[n]) == sorted(tc.degrees[n]), (name, D, n)
 
 
 def test_unknown_route_rejected():
