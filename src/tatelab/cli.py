@@ -117,7 +117,9 @@ def _cmd_model_print(args, pres):
     if route is None:
         route = "minimal-model" if pres.base is not None else "acyclic-closure"
     build = build_minimal_model if route == "minimal-model" else build_acyclic_closure
-    return build(pres, args.N, args.D).dump(), None, 0
+    # a stage-1 variable can lie above D, where no count is certified
+    dump = [v for v in build(pres, args.N, args.D).dump() if v["idim"] <= args.D]
+    return dump, None, 0
 
 
 def _doc_bound(doc, key, default, least):

@@ -20,7 +20,12 @@ Conventions fixed once and for all:
     d(a*v^e) = d(a)*v^e + (-1)^{|a|} a*d(v^e) for the last factor v^e;
   * a word is a canonical product  (base monomial) * v1^{e1} * v2^{e2} ...
     with the variables in adjunction order; reordering while multiplying
-    picks up the usual Koszul sign, one -1 per odd-odd transposition;
+    picks up the usual Koszul sign, one -1 per odd-odd transposition.
+    The one word product, ``_mul_words``, is ``_merge`` of the extension
+    parts (sign and power coefficient) followed by the ground product of
+    the monomials.  The Leibniz step of a pure word, of monomial 1,
+    multiplies it by the standard terms of d(v), which needs ``_merge``
+    alone;
   * a piece is laid out in blocks, one per admissible exponent pattern X
     in a fixed enumeration order: block X holds the words s*X, s over the
     standard ground monomials of the leftover internal degree b, so all
@@ -36,7 +41,8 @@ Conventions fixed once and for all:
     differential fills block X from d(1*X), the only word differential
     cached, by shifting each of its terms; d(m*X) for a single word with
     m != 1 is the word product (m*1)*d(1*X), so ``columns`` is the only
-    reader of the tables here;
+    reader of the tables here, and no differential it reads enters the
+    ground ring;
   * ``kernel(n, d)`` keeps the free columns of the kernel it takes, and
     the kernel out of (n + 1, d) eliminates only its rows there, or none
     when those rows decide it: no rows make the differential zero, and as
@@ -50,7 +56,7 @@ a tuple of (variable index, exponent) pairs sorted by index.
 from bisect import bisect_right
 from itertools import chain
 from math import comb
-from operator import attrgetter, itemgetter
+from operator import add, attrgetter, itemgetter
 
 from . import linalg
 from .presentations import join_terms
@@ -251,14 +257,20 @@ class ExtensionTower:
             d += e * v.ideg
         return (h, d)
 
-    def _mul_words(self, w1, w2):
-        """Product of two canonical words: list of (word, scalar)."""
-        m1, e1 = w1
-        m2, e2 = w2
-        f = self.field
+    def _merge(self, e1, e2):
+        """Product of two extension parts: (ext, integer coefficient), or
+        None when the parts share an odd variable, whose square is zero.
+
+        The coefficient is the Koszul sign, an odd factor of e2 moving past
+        the odd factors of e1 still unmerged, times binom(a + b, a) for each
+        divided-power variable v^(a) * v^(b); a polynomial v^a * v^b adds
+        nothing.  An empty part is the unit.
+        """
+        if not e1:
+            return e2, 1
+        if not e2:
+            return e1, 1
         vs = self.variables
-        # merge extension parts with Koszul signs and power coefficients:
-        # an odd factor of w2 moves past the odd factors of w1 still unmerged
         odd1 = sum(vs[idx].odd for idx, _ in e1)
         out = []
         coeff = 1
@@ -279,7 +291,7 @@ class ExtensionTower:
             else:
                 v = vs[idx1]
                 if v.odd:
-                    return []  # odd square is zero in every characteristic
+                    return None
                 a = e1[i][1]
                 if v.flavor == DIVIDED:
                     coeff *= comb(a + ex2, a)
@@ -288,53 +300,73 @@ class ExtensionTower:
                 j += 1
         out.extend(e1[i:])
         out.extend(e2[j:])
-        if crossings % 2:
-            coeff = -coeff
+        return tuple(out), -coeff if crossings % 2 else coeff
+
+    def _mul_words(self, w1, w2):
+        """Product of two canonical words, the one word product: list of
+        (word, scalar).  ``_merge`` multiplies the extension parts, then the
+        base monomials multiply in the ground ring and reduce to normal form;
+        a standard monomial times 1 is already standard."""
+        m1, e1 = w1
+        m2, e2 = w2
+        merged = self._merge(e1, e2)
+        if merged is None:
+            return []
+        ext, coeff = merged
+        f = self.field
         c = f.from_int(coeff)
         if f.is_zero(c):
             return []
-        ext = tuple(out)
-        # base monomials multiply in the ground ring and reduce to normal form
-        prod = tuple(a + b for a, b in zip(m1, m2))
-        combo = self.ground.reduce_monomial(prod)
+        if not any(m1):
+            return [((m2, ext), c)]
+        if not any(m2):
+            return [((m1, ext), c)]
+        combo = self.ground.reduce_monomial(tuple(map(add, m1, m2)))
         return [((sm, ext), f.mul(c, r)) for sm, r in combo.items()]
 
-    def word_differential(self, word):
-        """d(word) from the cached differential of a shorter word.
+    def _pure_differential(self, ext):
+        """Terms {word: scalar} of d(1 * ext), cached under the word (1, ext).
 
-        For a ground monomial m != 1, d(m * X) = (m * 1) * d(1 * X), the
-        element product, one word product per term.  For the last factor
-        v^e of a pure word a * v^e, d(a * v^e) = d(a) * v^e + (-1)^{|a|} k *
-        a * d(v) * v^(e-1), with k = e for a polynomial v and 1 otherwise;
-        d(a) and a * d(v) use only variables before v, so v^e and v^(e-1)
-        are plain, unsigned suffixes.
-        A word with no extension part has d = 0, and only pure words, of
-        monomial 1, are cached.
+        For the last factor v^e of ext = a * v^e, d(a * v^e) = d(a) * v^e +
+        (-1)^{|a|} k * a * d(v) * v^(e-1), with k = e for a polynomial v and
+        1 otherwise.  d(a) and a * d(v) use only variables before v, so v^e
+        and v^(e-1) are plain, unsigned suffixes, and since a has monomial 1
+        and every term c * m * x of d(v) is standard, a * (m * x) is
+        m * ``_merge``(a, x): extension parts alone are multiplied.
         """
-        cached = self._dwords.get(word)
-        if cached is not None:
-            return cached
-        mono, ext = word
+        key = (self._unit, ext)
+        terms = self._dwords.get(key)
+        if terms is not None:
+            return terms
         if not ext:
-            return Element.zero(self)
-        if any(mono):
-            pure = self.word_differential((self._unit, ext))
-            return Element.from_word(self, (mono, ())) * pure
+            return {}
         f = self.field
-        left, (idx, e) = ext[:-1], ext[-1]
+        left, last = ext[:-1], ext[-1]
+        idx, e = last
         v = self.variables[idx]
-        out = {(m, x + ext[-1:]): c for (m, x), c
-               in self.word_differential((mono, left)).terms.items()}
-        k = f.from_int(e if v.flavor == POLYNOMIAL else 1)
+        terms = {(m, x + (last,)): c for (m, x), c in self._pure_differential(left).items()}
+        k = e if v.flavor == POLYNOMIAL else 1
         if sum(self.variables[i].hdeg * n for i, n in left) % 2:
-            k = f.neg(k)
+            k = -k
         rest = ((idx, e - 1),) if e > 1 else ()
-        terms = (((m, x + rest), f.mul(f.mul(k, c), y))
-                 for w, c in v.dval.terms.items()
-                 for (m, x), y in self._mul_words((mono, left), w))
-        result = Element(self, linalg.add_into(out, terms, f))
-        self._dwords[word] = result
-        return result
+        merge, from_int, mul = self._merge, f.from_int, f.mul
+        products = (((m, p[0] + rest), mul(from_int(k * p[1]), c))
+                    for (m, x), c in v.dval.terms.items() if (p := merge(left, x)) is not None)
+        self._dwords[key] = linalg.add_into(terms, products, f)
+        return terms
+
+    def word_differential(self, word):
+        """d(word) as an Element.  A pure word, of monomial 1, reads the
+        cached ``_pure_differential``, whose Leibniz step multiplies
+        extension parts only; for a ground monomial m != 1, d(m * X) is the
+        word product (m * 1) * d(1 * X), one ``_mul_words`` per term,
+        uncached.  A word with no extension part has d = 0.
+        """
+        mono, ext = word
+        pure = Element(self, self._pure_differential(ext))
+        if any(mono):
+            return Element.from_word(self, (mono, ())) * pure
+        return pure
 
     # -- piece layout and matrices ----------------------------------------
 
@@ -447,18 +479,17 @@ class ExtensionTower:
         """
         blocks = self._layout(n, d)[0]
         target = self._layout(n - 1, d)[1]
-        f, unit, ground = self.field, self._unit, self.ground
+        f, shift, pure = self.field, self.ground.shift, self._pure_differential
+        widths = [range(len(self.ground.quotient_basis(b))) for b in range(d + 1)]
         for ext, b, _ in blocks:
-            terms = [(blk[2], c, ground.shift(m, b)) for (m, x), c
-                     in self.word_differential((unit, ext)).terms.items()
+            terms = [(blk[2], c, shift(m, b)) for (m, x), c in pure(ext).items()
                      if (blk := target.get(x))]
-            width = range(len(ground.quotient_basis(b)))
             if self._merges:
-                for i in width:
+                for i in widths[b]:
                     yield linalg.add_into({}, ((off + j, f.mul(c, r)) for off, c, rows in terms
                                                for j, r in rows[i]), f)
             else:
-                for i in width:
+                for i in widths[b]:
                     yield {off + j: c for off, c, rows in terms for j, _ in rows[i]}
 
     def matrix(self, n, d):

@@ -145,6 +145,31 @@ def test_model_print_defaults_to_model_over_declared_base(capsys):
     assert all(v["flavor"] in ("exterior", "polynomial") for v in doc)
 
 
+ABOVE_D = [
+    ("minimal-model", {"field": {"type": "Q"}, "variables": [{"name": "x", "degree": 1}],
+                       "relators": ["x^99999999999999999999"]}, []),
+    ("acyclic-closure", {"field": {"type": "Q"},
+                         "variables": [{"name": "x", "degree": 1}, {"name": "z", "degree": 20}],
+                         "relators": ["x^2"]}, ["x1_1", "x2_1"]),
+]
+
+
+@pytest.mark.parametrize("route, doc, names", ABOVE_D, ids=[r for r, _, _ in ABOVE_D])
+def test_model_print_stops_at_D(tmp_path, capsys, route, doc, names):
+    # a stage-1 variable above D (the huge relator's, the degree-20 ring
+    # variable's) is not printed, so the dump lists exactly the variables
+    # that deviations counts through D
+    path = _write_doc(tmp_path, doc)
+    code, out, _ = run(capsys, "model-print", "--route", route, "--N", "3", "--input", path)
+    assert code == 0
+    dump = json.loads(out)
+    assert [v["name"] for v in dump] == names
+    code, out, _ = run(capsys, "deviations", "--route", route, "--N", "3",
+                       "--format", "json", "--input", path)
+    counts = {int(n): c["count"] for n, c in json.loads(out)["deviations"].items()}
+    assert counts == {n: sum(v["hdeg"] == n for v in dump) for n in counts}
+
+
 # -- audits through the front end ----------------------------------------------
 
 def test_audit_rigidity_pass(capsys):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tatelab.extensions import Element, ExtensionTower, TowerError
+from tatelab.extensions import DIVIDED, Element, ExtensionTower, TowerError
 from tatelab.fields import PrimeField, QQ
 from tatelab.invariants import betti_numbers
 from tatelab.presentations import Presentation, parse_polynomial
@@ -153,6 +153,83 @@ def test_multiplication_associative_sampled():
     for _ in range(15):
         a, b, c = (rng.choice(pool) for _ in range(3))
         assert (a * b) * c == a * (b * c)
+
+
+def merge_by_sorting(t, e1, e2):
+    """Reference for ``_merge``: sort the factors of e1 then e2 by variable
+    with adjacent swaps, one sign per swap of two odd factors, then join
+    equal neighbours; None for an odd square."""
+    factors = list(e1) + list(e2)
+    sign = 1
+    for top in range(len(factors) - 1, 0, -1):
+        for j in range(top):
+            a, b = factors[j], factors[j + 1]
+            if a[0] > b[0]:
+                factors[j], factors[j + 1] = b, a
+                if t.variables[a[0]].odd and t.variables[b[0]].odd:
+                    sign = -sign
+    out, coeff = [], sign
+    for idx, e in factors:
+        if out and out[-1][0] == idx:
+            v = t.variables[idx]
+            if v.odd:
+                return None
+            a = out[-1][1]
+            if v.flavor == DIVIDED:
+                coeff *= math.comb(a + e, a)
+            out[-1] = (idx, a + e)
+        else:
+            out.append((idx, e))
+    return tuple(out), coeff
+
+
+@pytest.mark.parametrize("build, name", [(build_acyclic_closure, "m2zero_f5"),
+                                         (build_minimal_model, "xsq_xy_q")],
+                         ids=["closure-m2zero_f5", "model-xsq_xy_q"])
+def test_merge_multiplies_extension_parts(build, name):
+    # on every pair of extension patterns of the pieces through (4, 8), the
+    # merge is the sorted product, and on words of monomial 1 the word
+    # product is the merge with its coefficient read in the field
+    t = build(load_pres(name), 4, 8)
+    f, unit = t.field, (0,) * len(t.ground.names)
+    exts = sorted({ext for n in range(5) for d in range(9) for _, ext in t.piece(n, d)})
+    seen = {"empty": 0, "odd square": 0, "binomial": 0, "sign": 0}
+    for e1 in exts:
+        for e2 in exts:
+            got = t._merge(e1, e2)
+            assert got == merge_by_sorting(t, e1, e2), (e1, e2)
+            product = t._mul_words((unit, e1), (unit, e2))
+            if got is None:
+                seen["odd square"] += 1
+                assert product == []
+                continue
+            ext, coeff = got
+            c = f.from_int(coeff)
+            assert product == ([] if f.is_zero(c) else [((unit, ext), c)]), (e1, e2)
+            seen["empty"] += not e1 or not e2
+            seen["binomial"] += abs(coeff) > 1
+            seen["sign"] += coeff < 0
+    if build is build_acyclic_closure:
+        assert all(seen.values()), seen
+    else:
+        assert seen["empty"] and seen["odd square"] and seen["sign"], seen
+
+
+def test_merge_of_empty_parts_and_divided_powers():
+    t = build_acyclic_closure(load_pres("m2zero_f5"), 4, 8)
+    x1, x2, v = (t.variables[i].index for i in (0, 1, 2))
+    assert t.variables[v].flavor == DIVIDED
+    pure = ((x1, 1), (v, 2))
+    assert t._merge((), pure) == (pure, 1) and t._merge(pure, ()) == (pure, 1)
+    assert t._merge(((x1, 1),), ((x1, 1),)) is None
+    assert t._merge(((x2, 1),), ((x1, 1),)) == (((x1, 1), (x2, 1)), -1)
+    assert t._merge(((x1, 1),), ((x2, 1),)) == (((x1, 1), (x2, 1)), 1)
+    # x2 * v^(2) times x1 * v^(3): x1 passes x2, and v^(2) v^(3) = 10 v^(5),
+    # which vanishes in F_5, so the word product is zero
+    assert t._merge(((x2, 1), (v, 2)), ((x1, 1), (v, 3))) == (((x1, 1), (x2, 1), (v, 5)), -10)
+    assert t._merge(((x1, 1), (v, 2)), ((x2, 1), (v, 3))) == (((x1, 1), (x2, 1), (v, 5)), 10)
+    unit = (0,) * len(t.ground.names)
+    assert t._mul_words((unit, ((v, 2),)), (unit, ((v, 3),))) == []
 
 
 # -- differentials -----------------------------------------------------------
@@ -319,6 +396,23 @@ def test_adjoin_validation():
     y1 = t.variable_element(t.variables[0])
     with pytest.raises(TowerError):
         t.adjoin("bad", 2, 2, y1)            # y1 is not a cycle
+
+
+def test_adjoin_checks_cycles_on_words_with_a_monomial():
+    # over Q[x, y]/(x^4 + y^2), deg y = 2: d(x^3 * x1 + y * x2) = x^4 + y^2
+    # is zero only once x^4 and y^2 reduce in the ground ring, while
+    # x^3 * x1 - y * x2 has d = 2 x^4 and is not a cycle
+    t = build_acyclic_closure(load_pres("hyp_weighted_q"), 1, 8)
+    g = t.ground
+    x1, x2 = (t.variable_element(v) for v in t.variables)
+    x3, y = (t.ground_element(g.from_int_poly(parse_polynomial(m, g.names)))
+             for m in ("x^3", "y"))
+    with pytest.raises(TowerError, match="not a cycle"):
+        t.adjoin("bad", 2, 4, x3 * x1 - y * x2)
+    cycle = x3 * x1 + y * x2
+    assert all(any(mono) for mono, _ in cycle.terms)
+    v = t.adjoin("z", 2, 4, cycle)
+    assert v.dval is cycle and t.variables[-1] is v
 
 
 def test_adjoin_weakly_increasing_hdeg():

@@ -503,18 +503,20 @@ def test_oracle_rings_reach_what_the_shortcuts_skip():
                          ids=["model-m2zero_q", "closure-m2zero_f2"])
 def test_one_word_product_per_term_of_the_last_differential(monkeypatch, build, name, N):
     # a word m * X shifts d(1 * X) and a pure word a * v^e extends d(a), so
-    # the only word products are a * w for the terms w of d(v)
+    # the only products are a * w for the terms w of d(v), and since a has
+    # monomial 1 they multiply extension parts alone: no word product
     D = 12
     t = build(load_pres(name), N, D)
     t._dwords.clear()
     calls = []
-    mul_words = t._mul_words
+    merge = t._merge
 
-    def counting(w1, w2):
-        calls.append(w1)
-        return mul_words(w1, w2)
+    def counting(e1, e2):
+        calls.append(e1)
+        return merge(e1, e2)
 
-    monkeypatch.setattr(t, "_mul_words", counting)
+    monkeypatch.setattr(t, "_merge", counting)
+    monkeypatch.setattr(t, "_mul_words", None)
     for n in range(1, N + 2):
         for d in range(D + 1):
             t.matrix(n, d)
