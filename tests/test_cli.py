@@ -4,12 +4,13 @@ import collections
 import importlib.util
 import json
 import os
+import runpy
 import subprocess
 import sys
 
 import pytest
 
-from tatelab import linalg
+from tatelab import cli, linalg
 from tatelab.audits import AuditReport
 from tatelab.cli import COMMANDS, main
 from tatelab.presentations import Presentation
@@ -506,6 +507,73 @@ def test_tower_document_refused_by_single_commands(capsys, command, instance):
     assert (code, out) == (1, "")
     assert err == ("error: a 'tower' document is read only by audit jacobi-zariski "
                    "and audit ci-vanishing\n")
+
+
+# -- the process entry ---------------------------------------------------------
+
+ROOT = os.path.dirname(CATALOG)
+
+
+def _process(args, env=None, **kwargs):
+    """``python args`` on this checkout's sources, from the repository root."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(ROOT, "src"),
+                                         env.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable] + args, env=env, cwd=ROOT,
+                          timeout=60, **kwargs)
+
+
+def test_run_freezes_before_main_and_exits_with_its_code():
+    stub = ("import gc\n"
+            "from tatelab import cli\n"
+            "def main():\n"
+            "    print(gc.get_freeze_count() > 0)\n"
+            "    return 2\n"
+            "cli.main = main\n"
+            "cli.run()\n")
+    proc = _process(["-c", stub], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "True\n", "")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["deviations", "--input", cat("m2zero_q"), "--format", "json"], 0),
+    (["deviations", "--input", cat("m2zero_q")], 0),
+    (["audit", "ci-vanishing", "--input", cat("tower_jz_q")], 1),
+    (["deviations"], 1),
+], ids=["json", "table", "refusal", "usage"])
+def test_process_prints_what_main_prints(argv, code, capsys):
+    want = run(capsys, *argv)
+    proc = _process(["-m", "tatelab"] + argv, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+    assert want[0] == code
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["ci-check", "model-print"])
+def test_unwritable_output_is_a_one_line_error(command, unbuffered):
+    # unbuffered, the write itself fails; buffered, the flush before exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = _process(["-m", "tatelab", command, "--input", cat("hyp_q")], env=env,
+                        stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
+def test_console_script_calls_what_the_main_module_calls(monkeypatch):
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        entry = tomllib.load(fh)["project"]["scripts"]["tatelab"]
+    called = []
+    monkeypatch.setattr(cli, "run", lambda: called.append(True))
+    runpy.run_module("tatelab", run_name="__main__")
+    module, _, name = entry.partition(":")
+    assert called == [True]
+    assert getattr(importlib.import_module(module), name) is cli.run
 
 
 # -- determinism ---------------------------------------------------------------
