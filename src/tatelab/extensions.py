@@ -21,11 +21,10 @@ Conventions fixed once and for all:
   * a word is a canonical product  (base monomial) * v1^{e1} * v2^{e2} ...
     with the variables in adjunction order; reordering while multiplying
     picks up the usual Koszul sign, one -1 per odd-odd transposition.
-    The one word product, ``_mul_words``, is ``_merge`` of the extension
-    parts (sign and power coefficient) followed by the ground product of
-    the monomials.  The Leibniz step of a pure word, of monomial 1,
-    multiplies it by the standard terms of d(v), which needs ``_merge``
-    alone;
+    ``_merge`` multiplies extension parts (sign and power coefficient).
+    The Leibniz step of a pure word, of monomial 1, multiplies it by the
+    standard terms of d(v), which needs ``_merge`` alone, so no
+    differential enters the ground ring;
   * a piece is laid out in blocks, one per admissible exponent pattern X
     in a fixed enumeration order: block X holds the words s*X, s over the
     standard ground monomials of the leftover internal degree b, so all
@@ -37,12 +36,13 @@ Conventions fixed once and for all:
   * the one ground-monomial shift is the ground ring's table per
     (monomial m, degree b), ``Presentation.shift``: for each standard s of
     degree b, the reduced s*m as (basis index, scalar) pairs.  The ring
-    caches it, so every tower over one ring reads the same tables.  A
-    differential fills block X from d(1*X), the only word differential
-    cached, by shifting each of its terms; d(m*X) for a single word with
-    m != 1 is the word product (m*1)*d(1*X), so ``columns`` is the only
-    reader of the tables here, and no differential it reads enters the
-    ground ring;
+    caches it, so every tower over one ring reads the same tables.  The
+    one differential route reads d(s*X), s standard of degree b, off
+    d(1*X), the only word differential cached: a term c*m*x of d(1*X)
+    adds c times row s of the shift table of (m, b) at the words of
+    pattern x (``_shifted``).  ``columns`` fills each block that way, and
+    ``adjoin`` checks that a differential value is a cycle by summing the
+    same rows over its terms;
   * ``kernel(n, d)`` keeps the free columns of the kernel it takes, and
     the kernel out of (n + 1, d) eliminates only its rows there, or none
     when those rows decide it: no rows make the differential zero, and as
@@ -56,7 +56,7 @@ a tuple of (variable index, exponent) pairs sorted by index.
 from bisect import bisect_right
 from itertools import chain
 from math import comb
-from operator import add, attrgetter, itemgetter
+from operator import attrgetter, itemgetter
 
 from . import linalg
 from .presentations import join_terms
@@ -88,7 +88,10 @@ class ExtensionVariable:
 
 
 class Element:
-    """Finite scalar combination of words of one tower."""
+    """Finite scalar combination of words of one tower: a container of
+    terms {word: scalar} with a bidegree and a printed form, and no
+    arithmetic.  Its differential is read through the tower's shift
+    tables (``ExtensionTower.columns``)."""
 
     __slots__ = ("tower", "terms")
 
@@ -99,50 +102,6 @@ class Element:
     @classmethod
     def zero(cls, tower):
         return cls(tower, {})
-
-    @classmethod
-    def from_word(cls, tower, word):
-        return cls(tower, {word: tower.field.one})
-
-    def is_zero(self):
-        return not self.terms
-
-    def _check(self, other):
-        if self.tower is not other.tower:
-            raise TowerError("elements belong to different towers")
-
-    def __add__(self, other):
-        self._check(other)
-        return Element(self.tower, linalg.add_into(dict(self.terms), other.terms.items(),
-                                                   self.tower.field))
-
-    def __neg__(self):
-        f = self.tower.field
-        return Element(self.tower, {w: f.neg(c) for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        f = self.tower.field
-        if f.is_zero(c):
-            return Element(self.tower, {})
-        return Element(self.tower, {w: f.mul(c, x) for w, x in self.terms.items()})
-
-    def __mul__(self, other):
-        self._check(other)
-        t = self.tower
-        f = t.field
-        terms = ((w, f.mul(f.mul(c1, c2), x)) for w1, c1 in self.terms.items()
-                 for w2, c2 in other.terms.items() for w, x in t._mul_words(w1, w2))
-        return Element(t, linalg.add_into({}, terms, f))
-
-    def differential(self):
-        t = self.tower
-        f = t.field
-        terms = ((w, f.mul(c, x)) for v, c in self.terms.items()
-                 for w, x in t.word_differential(v).terms.items())
-        return Element(t, linalg.add_into({}, terms, f))
 
     def bidegree(self):
         """(homological, internal) bidegree; None for zero, error if mixed."""
@@ -209,15 +168,20 @@ class ExtensionTower:
             dval = Element.zero(self)
         if dval.tower is not self:
             raise TowerError("differential value belongs to a different tower")
-        for w in dval.terms:
-            for idx, _ in w[1]:
+        ground = self.ground
+        for mono, ext in dval.terms:
+            for idx, _ in ext:
                 if idx >= len(self.variables):
                     raise TowerError("differential value uses later variables")
+            # without relators every monomial is standard, whatever its degree
+            if ground.relators and mono not in ground.basis_index(ground.degree_of(mono)):
+                raise TowerError("differential value is not reduced: %s is not a "
+                                 "standard monomial" % ground.mono_str(mono))
         bid = dval.bidegree()
         if bid is not None and bid != (hdeg - 1, ideg):
             raise TowerError("differential value has bidegree %s, expected %s"
                              % (bid, (hdeg - 1, ideg)))
-        if not dval.differential().is_zero():
+        if not self._is_cycle(dval):
             raise TowerError("differential value of %s is not a cycle" % name)
         var = ExtensionVariable(name, hdeg, ideg, flavor, dval, len(self.variables))
         self.variables.append(var)
@@ -237,9 +201,6 @@ class ExtensionTower:
         d) record per degree, which ``kernel`` reads; ``adjoin`` drops the
         record of degree d with a variable of bidegree <= (n, d)."""
         self._cache.update((("acyclic", n, d), True) for d in range(D + 1))
-
-    def variable_element(self, var):
-        return Element.from_word(self, (self._unit, ((var.index, 1),)))
 
     def ground_element(self, elem):
         """Reduced ground element {mono: scalar} -> degree-zero tower element."""
@@ -302,28 +263,6 @@ class ExtensionTower:
         out.extend(e2[j:])
         return tuple(out), -coeff if crossings % 2 else coeff
 
-    def _mul_words(self, w1, w2):
-        """Product of two canonical words, the one word product: list of
-        (word, scalar).  ``_merge`` multiplies the extension parts, then the
-        base monomials multiply in the ground ring and reduce to normal form;
-        a standard monomial times 1 is already standard."""
-        m1, e1 = w1
-        m2, e2 = w2
-        merged = self._merge(e1, e2)
-        if merged is None:
-            return []
-        ext, coeff = merged
-        f = self.field
-        c = f.from_int(coeff)
-        if f.is_zero(c):
-            return []
-        if not any(m1):
-            return [((m2, ext), c)]
-        if not any(m2):
-            return [((m1, ext), c)]
-        combo = self.ground.reduce_monomial(tuple(map(add, m1, m2)))
-        return [((sm, ext), f.mul(c, r)) for sm, r in combo.items()]
-
     def _pure_differential(self, ext):
         """Terms {word: scalar} of d(1 * ext), cached under the word (1, ext).
 
@@ -355,18 +294,34 @@ class ExtensionTower:
         self._dwords[key] = linalg.add_into(terms, products, f)
         return terms
 
-    def word_differential(self, word):
-        """d(word) as an Element.  A pure word, of monomial 1, reads the
-        cached ``_pure_differential``, whose Leibniz step multiplies
-        extension parts only; for a ground monomial m != 1, d(m * X) is the
-        word product (m * 1) * d(1 * X), one ``_mul_words`` per term,
-        uncached.  A word with no extension part has d = 0.
-        """
-        mono, ext = word
-        pure = Element(self, self._pure_differential(ext))
-        if any(mono):
-            return Element.from_word(self, (mono, ())) * pure
-        return pure
+    def _shifted(self, ext, b, place):
+        """The differential of the words s * ext, s over the standard
+        monomials of degree b: one (place(x), c, shift table of (m, b)) per
+        term c * m * x of d(1 * ext) with place(x) not None, so d(s_i * ext)
+        is the sum over the terms of c times row i of the table, at the
+        words of pattern x.  ``columns`` places x at its target block's
+        offset, and skips a pattern with no block, whose rows are empty;
+        ``_is_cycle`` keys by the pattern itself."""
+        shift = self.ground.shift
+        return [(key, c, shift(m, b)) for (m, x), c in self._pure_differential(ext).items()
+                if (key := place(x)) is not None]
+
+    def _is_cycle(self, elem):
+        """Whether d(elem) = 0, for an element of reduced words, summed as
+        ``columns`` sums it: a term c * s * ext adds c times row s of each
+        table of ``_shifted``(ext, deg s), keyed by target pattern and
+        index, so no piece layout and no internal bound is read."""
+        f, ground = self.field, self.ground
+        out = {}
+        for (s, ext), c in elem.terms.items():
+            if not ext:  # a ground term has d = 0 and reads no degree data
+                continue
+            b = ground.degree_of(s)
+            i = ground.basis_index(b)[s]
+            linalg.add_into(out, (((x, j), f.mul(c, f.mul(cx, r)))
+                                  for x, cx, rows in self._shifted(ext, b, lambda x: x)
+                                  for j, r in rows[i]), f)
+        return not out
 
     # -- piece layout and matrices ----------------------------------------
 
@@ -377,7 +332,7 @@ class ExtensionTower:
         homological degree n whose internal degree i is at most d and whose
         leftover internal degree b = d - i has standard ground monomials;
         its words s * ext, s over the standard monomials of degree b, sit at
-        coordinates off, off + 1, ...  index maps each ext to its block.
+        coordinates off, off + 1, ...  index maps each ext to its offset.
         The blocks are a filter over the patterns of degree n: the lone
         degree-n variables, latest first, then the patterns of the variables
         below n enumerated once up to the tower's internal bound: a bound
@@ -407,7 +362,7 @@ class ExtensionTower:
             if i <= d and (width := widths[d - i]):
                 blocks.append((ext, d - i, size))
                 size += width
-        layout = (tuple(blocks), {blk[0]: blk for blk in blocks}, size)
+        layout = (tuple(blocks), {ext: off for ext, _, off in blocks}, size)
         self._cache[key] = layout
         return layout
 
@@ -446,18 +401,6 @@ class ExtensionTower:
         quotient_basis = self.ground.quotient_basis
         return tuple((s, ext) for ext, b, _ in blocks for s in quotient_basis(b))
 
-    def coords(self, elem, n, d):
-        index = self._layout(n, d)[1]
-        basis_index = self.ground.basis_index
-        out = {}
-        for (mono, ext), c in elem.terms.items():
-            blk = index.get(ext)
-            i = None if blk is None else basis_index(blk[1]).get(mono)
-            if i is None:
-                raise TowerError("element does not lie in piece (%d, %d)" % (n, d))
-            out[blk[2] + i] = c
-        return out
-
     def element(self, coords, n, d):
         blocks = self._layout(n, d)[0]
         quotient_basis = self.ground.quotient_basis
@@ -473,17 +416,16 @@ class ExtensionTower:
 
         Column s * ext of a block is s * d(1 * ext): a term c * m * x of
         d(1 * ext) adds c times row s of the shift table of (m, b) into
-        target block x.  A target block is missing only where its degree has
-        no standard monomials, and then every row is empty.  Sums are taken
-        only where a reduction can merge two products.
+        target block x (``_shifted``).  A target block is missing only where
+        its degree has no standard monomials, and then every row is empty.
+        Sums are taken only where a reduction can merge two products.
         """
         blocks = self._layout(n, d)[0]
-        target = self._layout(n - 1, d)[1]
-        f, shift, pure = self.field, self.ground.shift, self._pure_differential
+        offset = self._layout(n - 1, d)[1].get
+        f = self.field
         widths = [range(len(self.ground.quotient_basis(b))) for b in range(d + 1)]
         for ext, b, _ in blocks:
-            terms = [(blk[2], c, shift(m, b)) for (m, x), c in pure(ext).items()
-                     if (blk := target.get(x))]
+            terms = self._shifted(ext, b, offset)
             if self._merges:
                 for i in widths[b]:
                     yield linalg.add_into({}, ((off + j, f.mul(c, r)) for off, c, rows in terms

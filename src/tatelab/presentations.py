@@ -366,8 +366,9 @@ class Presentation:
         """Shift table of a monomial on degree b: row i holds the reduced
         s * mono, for the i-th standard monomial s of degree b, as (index in
         the degree-(b + |mono|) basis, scalar) pairs.  It is the one block
-        of ground products: ``ideal_span`` and the tower's ``columns`` sum
-        its rows, and a tower over the ring shares its tables."""
+        of ground products: ``ideal_span`` and the tower's differential
+        (``columns``, the cycle check of ``adjoin``) sum its rows, and a
+        tower over the ring shares its tables."""
         key = ("shift", mono, b)
         if key not in self._cache:
             index = self.basis_index(b + self.degree_of(mono))
@@ -386,13 +387,6 @@ class Presentation:
     def from_int_poly(self, poly):
         """Integer-coefficient polynomial -> reduced quotient element."""
         return self.normal_form({m: self.field.from_int(c) for m, c in poly.items()})
-
-    def multiply(self, a, b):
-        """Product of two reduced quotient elements, reduced again."""
-        f = self.field
-        return self.normal_form(linalg.add_into(
-            {}, ((tuple(map(add, m1, m2)), f.mul(c1, c2))
-                 for m1, c1 in a.items() for m2, c2 in b.items()), f))
 
     def ideal_span(self, gens, d):
         """Coordinates of the degree-d multiples s*g of reduced elements g.

@@ -51,7 +51,7 @@ def kernel_generators(pres):
         basis = ground.quotient_basis(d)
         span = ground.ideal_span([g for _, g in gens], d)
         for i in linalg.complement(kernel_coordinates(ground, pres, d), span, pres.field):
-            nf = pres.reduce_monomial(basis[i])
+            nf = pres.normal_form({basis[i]: one})
             gens.append((d, {basis[i]: one, **{s: neg(c) for s, c in nf.items()}}))
     return gens
 

@@ -14,12 +14,13 @@ from tatelab import (build_acyclic_closure, build_minimal_model,
                      aq_ranks, poincare_from_deviations, parse_presentation,
                      koszul_on_minimal_generators)
 from tatelab.cli import main
-from tatelab.extensions import Element, ExtensionTower
+from tatelab.extensions import ExtensionTower
 from tatelab.fields import PrimeField, QQ
 from tatelab.presentations import Presentation, parse_polynomial
 
 from conftest import SINGLE_INSTANCES, homology_dim, load_doc, load_pres
 from oracles import betti_oracle, deviations_from_betti, koszul_h1_mu_oracle
+from reference import RefElement, ref, variable_element
 
 import test_cli
 
@@ -115,7 +116,7 @@ def _square_zero_everywhere(tower):
     for n in range(1, tower.nmax + 1):
         for d in range(tower.dmax + 1):
             for word in tower.piece(n, d):
-                el = Element.from_word(tower, word)
+                el = RefElement.from_word(tower, word)
                 assert el.differential().differential().is_zero(), (n, d, word)
 
 
@@ -141,15 +142,15 @@ def test_criterion_6_structural_invariants():
         t = ExtensionTower(g, "gamma", nmax=20, dmax=60)
         xel = t.ground_element(g.from_int_poly(parse_polynomial("x", g.names)))
         x1 = t.adjoin("x1", 1, 1, xel)
-        v = t.adjoin("v", 2, 2, xel * t.variable_element(x1))
+        v = t.adjoin("v", 2, 2, ref(xel) * variable_element(t, x1))
         def power(e):
-            return Element.from_word(t, ((0,), ((v.index, e),)))
+            return RefElement.from_word(t, ((0,), ((v.index, e),)))
         for _ in range(10):
             i, j = rng.randrange(1, 7), rng.randrange(1, 7)
             c = field.from_int(math.comb(i + j, i))
             assert power(i) * power(j) == power(i + j).scale(c), (field, i, j)
         if getattr(field, "p", 0) == 2:
-            a = t.variable_element(v)
+            a = variable_element(t, v)
             assert (a * a).is_zero()   # C(2,1) v^(2) = 0 in F_2
     done(6, "d^2 = 0, decomposability, minimality, divided-power laws")
 

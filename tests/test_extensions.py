@@ -1,17 +1,22 @@
 """Tower algebra laws: signs, squares, divided powers, differentials."""
 
+import ast
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+import tatelab
 from tatelab.extensions import DIVIDED, Element, ExtensionTower, TowerError
 from tatelab.fields import PrimeField, QQ
 from tatelab.invariants import betti_numbers
 from tatelab.presentations import Presentation, parse_polynomial
-from tatelab.resolution import build_acyclic_closure, build_minimal_model
+from tatelab.resolution import build_acyclic_closure, build_minimal_model, koszul_complex
 
 from conftest import load_pres
+from reference import RefElement, mul_words, ref, variable_element
 
 
 def ground_xy(field=QQ):
@@ -37,14 +42,14 @@ def koszul_xy(field=QQ, flavor="plain"):
 def test_odd_variables_square_to_zero():
     for field in (QQ, PrimeField(2), PrimeField(5)):
         _, t = koszul_xy(field)
-        a = t.variable_element(t.variables[0])
+        a = variable_element(t, t.variables[0])
         assert (a * a).is_zero()
 
 
 def test_odd_anticommute():
     _, t = koszul_xy()
-    a = t.variable_element(t.variables[0])
-    b = t.variable_element(t.variables[1])
+    a = variable_element(t, t.variables[0])
+    b = variable_element(t, t.variables[1])
     assert a * b == -(b * a)
     assert not (a * b).is_zero()
 
@@ -52,18 +57,18 @@ def test_odd_anticommute():
 def test_koszul_differential_sign():
     # d(y1 y2) = (d y1) y2 - y1 (d y2) = x^2 y2 - y^2 y1
     g, t = koszul_xy()
-    a = t.variable_element(t.variables[0])
-    b = t.variable_element(t.variables[1])
+    a = variable_element(t, t.variables[0])
+    b = variable_element(t, t.variables[1])
     x2 = t.ground_element(g.from_int_poly(parse_polynomial("x^2", g.names)))
     y2 = t.ground_element(g.from_int_poly(parse_polynomial("y^2", g.names)))
-    assert (a * b).differential() == x2 * b - y2 * a
+    assert (a * b).differential() == ref(x2) * b - ref(y2) * a
 
 
 def test_ground_multiplication_reduces():
     g = ground_poly(["x^2", "x*y", "y^2"])
     t = ExtensionTower(g, "gamma", nmax=4, dmax=8)
     x = t.ground_element(g.from_int_poly(parse_polynomial("x", g.names)))
-    assert (x * x).is_zero()
+    assert (ref(x) * ref(x)).is_zero()
 
 
 def _gamma_tower(field, idim=2):
@@ -75,13 +80,13 @@ def _gamma_tower(field, idim=2):
     x1 = t.adjoin("x1", 1, 1, t.ground_element(
         g.from_int_poly(parse_polynomial("x", g.names))))
     xel = t.ground_element(g.from_int_poly(parse_polynomial("x", g.names)))
-    v = t.adjoin("v", 2, idim, xel * t.variable_element(x1))
+    v = t.adjoin("v", 2, idim, ref(xel) * variable_element(t, x1))
     return t, v
 
 
 def gamma_power(t, v, e):
     word = ((0,) * len(t.ground.names), ((v.index, e),))
-    return Element.from_word(t, word)
+    return RefElement.from_word(t, word)
 
 
 def test_divided_power_law_exact_binomials():
@@ -107,7 +112,7 @@ def test_divided_power_law_randomized(field):
 
 def test_even_gamma_square_vanishes_mod_2():
     t, v = _gamma_tower(PrimeField(2))
-    a = t.variable_element(v)
+    a = variable_element(t, v)
     assert (a * a).is_zero()          # C(2,1) = 2 = 0 in F_2
     assert not (gamma_power(t, v, 2)).is_zero()  # but v^(2) is a basis word
 
@@ -118,11 +123,11 @@ def test_plain_even_variable_is_polynomial():
     x1 = t.adjoin("x1", 1, 1, t.ground_element(
         g.from_int_poly(parse_polynomial("x", g.names))))
     xel = t.ground_element(g.from_int_poly(parse_polynomial("x", g.names)))
-    v = t.adjoin("v", 2, 2, xel * t.variable_element(x1))
-    a = t.variable_element(v)
+    v = t.adjoin("v", 2, 2, ref(xel) * variable_element(t, x1))
+    a = variable_element(t, v)
     sq = a * a
     word = ((0,), ((v.index, 2),))
-    assert sq == Element.from_word(t, word)   # v^2, coefficient 1
+    assert sq == RefElement.from_word(t, word)   # v^2, coefficient 1
 
 
 def test_multiplication_commutes_with_koszul_sign():
@@ -133,8 +138,8 @@ def test_multiplication_commutes_with_koszul_sign():
     for _ in range(20):
         w1 = rng.choice(words)
         w2 = rng.choice(words)
-        a = Element.from_word(t, w1)
-        b = Element.from_word(t, w2)
+        a = RefElement.from_word(t, w1)
+        b = RefElement.from_word(t, w2)
         h1 = t.word_bidegree(w1)[0]
         h2 = t.word_bidegree(w2)[0]
         sign = -1 if (h1 % 2) and (h2 % 2) else 1
@@ -146,10 +151,10 @@ def test_multiplication_commutes_with_koszul_sign():
 def test_multiplication_associative_sampled():
     rng = random.Random(7)
     t, v = _gamma_tower(QQ)
-    pool = [t.variable_element(t.variables[0]),
+    pool = [variable_element(t, t.variables[0]),
             gamma_power(t, v, 1), gamma_power(t, v, 2),
-            t.ground_element(t.ground.from_int_poly(
-                parse_polynomial("x", t.ground.names)))]
+            ref(t.ground_element(t.ground.from_int_poly(
+                parse_polynomial("x", t.ground.names))))]
     for _ in range(15):
         a, b, c = (rng.choice(pool) for _ in range(3))
         assert (a * b) * c == a * (b * c)
@@ -198,7 +203,7 @@ def test_merge_multiplies_extension_parts(build, name):
         for e2 in exts:
             got = t._merge(e1, e2)
             assert got == merge_by_sorting(t, e1, e2), (e1, e2)
-            product = t._mul_words((unit, e1), (unit, e2))
+            product = mul_words(t, (unit, e1), (unit, e2))
             if got is None:
                 seen["odd square"] += 1
                 assert product == []
@@ -229,7 +234,7 @@ def test_merge_of_empty_parts_and_divided_powers():
     assert t._merge(((x2, 1), (v, 2)), ((x1, 1), (v, 3))) == (((x1, 1), (x2, 1), (v, 5)), -10)
     assert t._merge(((x1, 1), (v, 2)), ((x2, 1), (v, 3))) == (((x1, 1), (x2, 1), (v, 5)), 10)
     unit = (0,) * len(t.ground.names)
-    assert t._mul_words((unit, ((v, 2),)), (unit, ((v, 3),))) == []
+    assert mul_words(t, (unit, ((v, 2),)), (unit, ((v, 3),))) == []
 
 
 # -- differentials -----------------------------------------------------------
@@ -241,8 +246,8 @@ def test_leibniz_rule_sampled():
              for w in t.piece(n, d)]
     for _ in range(25):
         w1, w2 = rng.choice(words), rng.choice(words)
-        a = Element.from_word(t, w1)
-        b = Element.from_word(t, w2)
+        a = RefElement.from_word(t, w1)
+        b = RefElement.from_word(t, w2)
         h1 = t.word_bidegree(w1)[0]
         sign = QQ.from_int(-1 if h1 % 2 else 1)
         lhs = (a * b).differential()
@@ -256,14 +261,14 @@ def test_d_squared_zero_on_all_pieces():
         for n in range(1, 8):
             for d in range(0, 16):
                 for w in t.piece(n, d):
-                    dd = Element.from_word(t, w).differential().differential()
+                    dd = RefElement.from_word(t, w).differential().differential()
                     assert dd.is_zero(), (field, n, d, w)
 
 
 def test_divided_power_differential():
     # d(v^(e)) = (dv) v^(e-1)
     t, v = _gamma_tower(QQ)
-    dv = v.dval
+    dv = ref(v.dval)
     for e in (2, 3, 4):
         got = gamma_power(t, v, e).differential()
         want = dv * gamma_power(t, v, e - 1)
@@ -277,12 +282,12 @@ def test_plain_power_differential():
     x1 = t.adjoin("x1", 1, 1, t.ground_element(
         g.from_int_poly(parse_polynomial("x", g.names))))
     xel = t.ground_element(g.from_int_poly(parse_polynomial("x", g.names)))
-    v = t.adjoin("v", 2, 2, xel * t.variable_element(x1))
+    v = t.adjoin("v", 2, 2, ref(xel) * variable_element(t, x1))
     e = 3
     word = ((0,), ((v.index, e),))
-    got = Element.from_word(t, word).differential()
-    prev = Element.from_word(t, ((0,), ((v.index, e - 1),)))
-    want = (v.dval * prev).scale(QQ.from_int(e))
+    got = RefElement.from_word(t, word).differential()
+    prev = RefElement.from_word(t, ((0,), ((v.index, e - 1),)))
+    want = (ref(v.dval) * prev).scale(QQ.from_int(e))
     assert got == want
 
 
@@ -378,8 +383,8 @@ def test_bounds_enforced():
 def test_mixed_tower_elements_rejected():
     _, t1 = koszul_xy()
     _, t2 = koszul_xy()
-    a = t1.variable_element(t1.variables[0])
-    b = t2.variable_element(t2.variables[0])
+    a = variable_element(t1, t1.variables[0])
+    b = variable_element(t2, t2.variables[0])
     with pytest.raises(TowerError):
         a + b
     with pytest.raises(TowerError):
@@ -393,7 +398,7 @@ def test_adjoin_validation():
         t.adjoin("bad", 0, 1, None)          # nonpositive degree
     with pytest.raises(TowerError):
         t.adjoin("bad", 1, 3, x2)            # bidegree mismatch (ideg 2 != 3)
-    y1 = t.variable_element(t.variables[0])
+    y1 = variable_element(t, t.variables[0])
     with pytest.raises(TowerError):
         t.adjoin("bad", 2, 2, y1)            # y1 is not a cycle
 
@@ -404,8 +409,8 @@ def test_adjoin_checks_cycles_on_words_with_a_monomial():
     # x^3 * x1 - y * x2 has d = 2 x^4 and is not a cycle
     t = build_acyclic_closure(load_pres("hyp_weighted_q"), 1, 8)
     g = t.ground
-    x1, x2 = (t.variable_element(v) for v in t.variables)
-    x3, y = (t.ground_element(g.from_int_poly(parse_polynomial(m, g.names)))
+    x1, x2 = (variable_element(t, v) for v in t.variables)
+    x3, y = (ref(t.ground_element(g.from_int_poly(parse_polynomial(m, g.names))))
              for m in ("x^3", "y"))
     with pytest.raises(TowerError, match="not a cycle"):
         t.adjoin("bad", 2, 4, x3 * x1 - y * x2)
@@ -413,6 +418,55 @@ def test_adjoin_checks_cycles_on_words_with_a_monomial():
     assert all(any(mono) for mono, _ in cycle.terms)
     v = t.adjoin("z", 2, 4, cycle)
     assert v.dval is cycle and t.variables[-1] is v
+
+
+def test_adjoin_refuses_foreign_and_later_variables_before_the_cycle_check(monkeypatch):
+    # both values index a variable the tower does not have yet, so a cycle
+    # check that ran on them would fail with an IndexError, not refuse
+    g, t2 = koszul_xy()
+    t1 = ExtensionTower(g, "plain", nmax=6, dmax=12)
+    monkeypatch.setattr(t1, "_is_cycle", None)
+    x = ref(t2.ground_element({(1, 0): QQ.one}))
+    foreign = x * variable_element(t2, t2.variables[1])
+    with pytest.raises(TowerError, match="belongs to a different tower"):
+        t1.adjoin("bad", 2, 3, foreign)
+    later = Element(t1, {((1, 0), ((len(t1.variables), 1),)): QQ.one})
+    with pytest.raises(TowerError, match="uses later variables"):
+        t1.adjoin("bad", 2, 3, later)
+    assert t1.variables == []
+
+
+def test_adjoin_refuses_a_value_that_is_not_reduced(monkeypatch):
+    # in k[x, y]/(x, y)^2, x^2 = 0 and y^2 = 0 are not standard: x^2 * x1_1
+    # is no word of the tower, though its differential x^3 reduces to zero,
+    # and a ground value must be reduced too
+    t = build_acyclic_closure(load_pres("m2zero_q"), 1, 6)
+    monkeypatch.setattr(t, "_is_cycle", None)
+    before = t.dump()
+    one = t.field.one
+    for word, hdeg, ideg in [(((2, 0), ((0, 1),)), 2, 3), (((0, 2), ()), 1, 2)]:
+        with pytest.raises(TowerError, match=re.escape(
+                "not reduced: %s is not a standard" % t.ground.mono_str(word[0]))):
+            t.adjoin("bad", hdeg, ideg, Element(t, {word: one}))
+    assert t.dump() == before
+
+
+def test_adjoin_reads_no_degree_data_of_a_ground_value(monkeypatch):
+    # over the polynomial ring every monomial is standard, and a ground
+    # value has d = 0, so the Koszul variable of a relator of huge degree is
+    # adjoined without listing the monomials of that degree
+    monomials = Presentation.monomials
+
+    def bounded(self, d):
+        assert d <= 12, d
+        return monomials(self, d)
+
+    monkeypatch.setattr(Presentation, "monomials", bounded)
+    huge = 99999999999999999999
+    pres = Presentation(QQ, [("x", 1), ("y", 1)], ["x^%d" % huge, "x*y"],
+                        base=ground_xy())
+    t = koszul_complex(pres, 12)
+    assert [v.ideg for v in t.variables] == [huge, 2]
 
 
 def test_adjoin_weakly_increasing_hdeg():
@@ -426,7 +480,30 @@ def test_adjoin_weakly_increasing_hdeg():
 def test_element_str_and_zero():
     _, t = koszul_xy()
     z = Element.zero(t)
-    assert z.is_zero()
+    assert ref(z).is_zero()
     assert str(z) == "0"
-    a = t.variable_element(t.variables[0])
+    a = variable_element(t, t.variables[0])
     assert str(a) == "y1"
+
+
+# names of the word product and the Element arithmetic, which live in the
+# tests' reference module (reference.py)
+REFERENCE_ONLY = {"_mul_words", "word_differential", "__mul__", "differential", "__add__",
+                  "__neg__", "__sub__", "scale", "_check", "from_word", "is_zero",
+                  "variable_element", "coords", "multiply"}
+
+
+def test_one_differential_route_in_the_library():
+    # the ground reduction of a monomial is read only inside the ground ring
+    # (its shift tables and normal forms), and no library class defines the
+    # word product or element arithmetic
+    classes = {}
+    for path in sorted(Path(tatelab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "reduce_monomial":
+                assert path.name == "presentations.py", (path.name, node.lineno)
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = {f.name for f in node.body
+                                      if isinstance(f, ast.FunctionDef)}
+    for name in ("Element", "ExtensionTower", "Presentation"):
+        assert not classes[name] & REFERENCE_ONLY, (name, classes[name] & REFERENCE_ONLY)

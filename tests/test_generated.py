@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from tatelab import linalg
 from tatelab.audits import build_layer_chain
-from tatelab.extensions import Element
 from tatelab.invariants import betti_numbers
 from tatelab.presentations import Presentation, parse_presentation
 from tatelab.resolution import (build_acyclic_closure, build_minimal_model,
@@ -23,6 +22,7 @@ from tatelab.resolution import (build_acyclic_closure, build_minimal_model,
 
 from conftest import TOWER_INSTANCES, check_kernels, load_doc
 from oracles import betti_oracle
+from reference import RefElement
 
 N, D = 4, 6
 NAMES = "xyz"
@@ -65,7 +65,7 @@ def assert_d_squared_zero(tower, nmax):
     for n in range(nmax + 1):
         for d in range(D + 1):
             for w in tower.piece(n, d):
-                dd = Element.from_word(tower, w).differential().differential()
+                dd = RefElement.from_word(tower, w).differential().differential()
                 assert dd.is_zero(), (tower.flavor, n, d, tower.word_str(w))
 
 

@@ -23,6 +23,7 @@ from tatelab.resolution import (ResolutionError, build_acyclic_closure,
 from conftest import (CATALOG, NONUNIT_Q, SINGLE_INSTANCES, check_kernel,
                       check_kernels, homology_dim, load_doc, load_pres)
 from oracles import deviations_from_betti
+from reference import RefElement, coords, ref, word_differential
 
 
 def P(relators, variables=(("x", 1), ("y", 1)), field=QQ, base_relators=None):
@@ -216,7 +217,7 @@ def test_closure_minimality():
     t = build_acyclic_closure(p, 5, 12)
     unit = (0,) * len(p.names)
     for v in t.variables:
-        if v.dval.is_zero():
+        if ref(v.dval).is_zero():
             continue
         for (mono, ext) in v.dval.terms:
             letters = sum(e for _, e in ext)
@@ -271,17 +272,17 @@ LONGHAND = ["m2zero_f2", "xsq_xy_q", "hyp_weighted_q"]
 
 def leibniz_by_products(t, word):
     """d(word) as the sum of (-1)^{|left|} k * left * d(v) * rest over the
-    positions of the word, from Element products; k is the exponent e
+    positions of the word, from ``RefElement`` products; k is the exponent e
     for a polynomial variable and 1 otherwise."""
     mono, ext = word
     unit = (0,) * len(mono)
-    out = Element.zero(t)
+    out = RefElement.zero(t)
     parity = 0
     for i, (idx, e) in enumerate(ext):
         v = t.variables[idx]
         rest = (((idx, e - 1),) if e > 1 else ()) + ext[i + 1:]
-        term = (Element.from_word(t, (mono, ext[:i])) * v.dval
-                * Element.from_word(t, (unit, rest)))
+        term = (RefElement.from_word(t, (mono, ext[:i])) * v.dval
+                * RefElement.from_word(t, (unit, rest)))
         if v.flavor == POLYNOMIAL:
             term = term.scale(t.field.from_int(e))
         out = out + (-term if parity % 2 else term)
@@ -319,7 +320,7 @@ def test_word_differential_matches_element_products(name, build):
     t = build(_pres(name), 5, 10)
     words = _all_words(t, 5, 10)
     for w in words:
-        assert t.word_differential(w) == leibniz_by_products(t, w), t.word_str(w)
+        assert word_differential(t, w) == leibniz_by_products(t, w), t.word_str(w)
     assert len(words) > 50
 
 
@@ -333,7 +334,35 @@ def test_word_differential_from_a_cold_cache(name, build):
     random.Random(20261018).shuffle(words)
     t._dwords.clear()
     for w in words:
-        assert t.word_differential(w) == leibniz_by_products(t, w), t.word_str(w)
+        assert word_differential(t, w) == leibniz_by_products(t, w), t.word_str(w)
+
+
+@pytest.mark.parametrize("build", TOWER_KINDS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize("name", DIFFERENTIAL_RINGS)
+def test_cycle_check_matches_the_reference_differential(name, build):
+    # adjoin's cycle check reads the shift tables; the reference multiplies
+    # words.  Every kernel vector of every piece is a cycle to both, and a
+    # kernel vector or zero plus a word whose differential is nonzero is a
+    # non-cycle to both; hyp_weighted_q and xz_over_jz_q reduce shifted
+    # monomials into merges
+    N, D = 4, 9
+    t = build(_pres(name), N, D)
+    rng = random.Random(20261020)
+    non_cycles = 0
+    for n in range(1, N + 2):
+        for d in range(D + 1):
+            kernel = linalg.Kernel(*t.matrix(n, d), t.field)
+            cycles = [t.element(kernel.vector(f), n, d) for f in kernel.free]
+            for z in cycles:
+                assert t._is_cycle(z) and ref(z).differential().is_zero(), (n, d, str(z))
+            moving = [w for w in t.piece(n, d) if word_differential(t, w).terms]
+            for z in [Element.zero(t)] + cycles:
+                for w in rng.sample(moving, min(3, len(moving))):
+                    x = ref(z) + RefElement.from_word(t, w)
+                    assert not t._is_cycle(x) and not x.differential().is_zero(), \
+                        (n, d, str(x))
+                    non_cycles += 1
+    assert non_cycles >= 10
 
 
 # cidiag_f2 and m2zero_f5 have ground degrees with no standard monomials
@@ -351,11 +380,11 @@ def _assembly_cases(t, n, d):
     target = t._layout(n - 1, d)[1]
     vanish = merged = missing = 0
     for mono, ext in t.piece(n, d):
-        terms = t.word_differential((unit, ext)).terms
+        terms = word_differential(t, (unit, ext)).terms
         products = [ground.reduce_monomial(tuple(a + b for a, b in zip(mono, m)))
                     for m, _ in terms]
         vanish += sum(not p for p in products)
-        merged += len(t.word_differential((mono, ext)).terms) < sum(map(len, products))
+        merged += len(word_differential(t, (mono, ext)).terms) < sum(map(len, products))
         missing += sum(x not in target for _, x in terms)
     return vanish, merged, missing
 
@@ -373,11 +402,11 @@ def test_block_assembly_matches_word_differentials(name, build):
             words = t.piece(n, d)
             cols, nrows = t.matrix(n, d)
             assert nrows == len(t.piece(n - 1, d))
-            assert cols == [t.coords(t.word_differential(w), n - 1, d) for w in words]
+            assert cols == [coords(t, word_differential(t, w), n - 1, d) for w in words]
             for i, w in enumerate(words):
-                x = Element.from_word(t, w)
-                assert t.coords(x, n, d) == {i: one}
-                assert t.element(t.coords(x, n, d), n, d) == x
+                x = RefElement.from_word(t, w)
+                assert coords(t, x, n, d) == {i: one}
+                assert t.element(coords(t, x, n, d), n, d) == x
 
 
 def test_block_assembly_rings_reach_every_case():
@@ -428,16 +457,16 @@ def test_shifted_word_differential_is_the_element_product(name, build):
         adjoined = t.variables_of_hdeg(q + 1)
         for d in range(D + 1):
             cols = t.matrix(q + 1, d)[0]
-            blocks = t._layout(q + 1, d)[1]
+            blocks = {blk[0]: blk for blk in t._layout(q + 1, d)[0]}
             for (e, g), y in zip(gens, adjoined):
                 ext = ((y.index, 1),)
                 if e >= d or ext not in blocks:
                     continue
                 _, b, off = blocks[ext]
-                assert t.word_differential((t._unit, ext)).terms == g.terms
+                assert word_differential(t, (t._unit, ext)).terms == g.terms
                 for i, s in enumerate(ground.quotient_basis(b)):
-                    prod = t.word_differential((s, ext))
-                    assert t.coords(prod, q, d) == cols[off + i], (q, d, str(g))
+                    prod = word_differential(t, (s, ext))
+                    assert coords(t, prod, q, d) == cols[off + i], (q, d, str(g))
                     count += 1
                     reduced += len(prod.terms) != len(g.terms)
     assert count >= 10
@@ -472,12 +501,12 @@ def test_element_differential_is_the_termwise_sum(name, build):
         terms = {w: f.from_int(rng.choice([-3, -1, 1, 2, 5]))
                  for w in rng.sample(words, 6)}
         terms = {w: c for w, c in terms.items() if not f.is_zero(c)}
-        expect = Element.zero(t)
+        expect = RefElement.zero(t)
         for w, c in terms.items():
-            expect = expect + t.word_differential(w).scale(c)
-        assert Element(t, terms).differential() == expect
+            expect = expect + word_differential(t, w).scale(c)
+        assert RefElement(t, terms).differential() == expect
         # a cancelling sum: x - x has no terms left
-        x = Element(t, terms)
+        x = RefElement(t, terms)
         assert (x - x).differential().is_zero()
 
 
@@ -493,8 +522,8 @@ def test_oracle_rings_reach_what_the_shortcuts_skip():
     t = build_minimal_model(_pres("xz_over_jz_q"), 5, 10)
     assert t.ground.relators and powers(t, POLYNOMIAL)
     unit = (0,) * len(t.ground.names)
-    assert any(len(t.word_differential(w).terms)
-               < len(t.word_differential((unit, w[1])).terms)
+    assert any(len(word_differential(t, w).terms)
+               < len(word_differential(t, (unit, w[1])).terms)
                for w in _all_words(t, 5, 10) if w[1] and any(w[0]))
 
 
@@ -504,7 +533,9 @@ def test_oracle_rings_reach_what_the_shortcuts_skip():
 def test_one_word_product_per_term_of_the_last_differential(monkeypatch, build, name, N):
     # a word m * X shifts d(1 * X) and a pure word a * v^e extends d(a), so
     # the only products are a * w for the terms w of d(v), and since a has
-    # monomial 1 they multiply extension parts alone: no word product
+    # monomial 1 they multiply extension parts alone: no word product.  The
+    # shifts read the tables the build left in the ring, so reassembly
+    # reduces no monomial
     D = 12
     t = build(load_pres(name), N, D)
     t._dwords.clear()
@@ -516,7 +547,7 @@ def test_one_word_product_per_term_of_the_last_differential(monkeypatch, build, 
         return merge(e1, e2)
 
     monkeypatch.setattr(t, "_merge", counting)
-    monkeypatch.setattr(t, "_mul_words", None)
+    monkeypatch.setattr(t.ground, "reduce_monomial", None)
     for n in range(1, N + 2):
         for d in range(D + 1):
             t.matrix(n, d)
@@ -547,14 +578,14 @@ def test_generator_multiples_span_the_decomposables(name, build):
         gens = minimal_generators(t, q, D)
         for d in range(D + 1):
             bounds = before[d]
-            by_gens = [t.coords(t.ground_element({s: one}) * g, q, d)
+            by_gens = [coords(t, ref(t.ground_element({s: one})) * g, q, d)
                        for e, g in gens if e < d
                        for s in ground.quotient_basis(d - e)]
             by_cycles = []
             for i, (_, w) in enumerate(ground.variables):
                 x = t.ground_element({tuple(int(k == i) for k in
                                             range(len(ground.names))): one})
-                by_cycles += [t.coords(x * t.element(z, q, d - w), q, d)
+                by_cycles += [coords(t, ref(x) * t.element(z, q, d - w), q, d)
                               for z in t.solved(q, d - w)]
             a = _rank(bounds + by_gens, t.field)
             b = _rank(bounds + by_cycles, t.field)
@@ -562,7 +593,7 @@ def test_generator_multiples_span_the_decomposables(name, build):
                 (q, d)
             # the columns of d_{q+1} now also hold the generators of degree d
             after = t.matrix(q + 1, d)[0]
-            span = bounds + by_gens + [t.coords(g, q, d) for e, g in gens if e == d]
+            span = bounds + by_gens + [coords(t, g, q, d) for e, g in gens if e == d]
             assert _rank(after, t.field) == _rank(span, t.field) \
                 == _rank(after + span, t.field), (q, d)
 
@@ -972,7 +1003,7 @@ def full_coordinate_generators(tower, q, D):
             sub.add(b)
         for e, g in gens:
             for s in ground.quotient_basis(d - e):
-                sub.add(tower.coords(tower.ground_element({s: one}) * g, q, d))
+                sub.add(coords(tower, ref(tower.ground_element({s: one})) * g, q, d))
         for z in tower.solved(q, d):
             if sub.add(z) is not None:
                 gens.append((d, tower.element(z, q, d)))
