@@ -168,8 +168,11 @@ class ExtensionTower:
             dval = Element.zero(self)
         if dval.tower is not self:
             raise TowerError("differential value belongs to a different tower")
-        ground = self.ground
-        for mono, ext in dval.terms:
+        ground, field = self.ground, self.field
+        for (mono, ext), c in dval.terms.items():
+            if not field.contains(c) or field.is_zero(c):
+                raise TowerError("differential value has scalar %r: not a nonzero "
+                                 "element of %r" % (c, field))
             for idx, _ in ext:
                 if idx >= len(self.variables):
                     raise TowerError("differential value uses later variables")
@@ -181,6 +184,11 @@ class ExtensionTower:
         if bid is not None and bid != (hdeg - 1, ideg):
             raise TowerError("differential value has bidegree %s, expected %s"
                              % (bid, (hdeg - 1, ideg)))
+        # the cycle check reads shift tables of degree ideg, which only a
+        # ground term (d = 0) leaves unread
+        if ideg > self.dmax and any(ext for _, ext in dval.terms):
+            raise TowerError("differential value of internal degree %d exceeds the "
+                             "tower's internal bound %d" % (ideg, self.dmax))
         if not self._is_cycle(dval):
             raise TowerError("differential value of %s is not a cycle" % name)
         var = ExtensionVariable(name, hdeg, ideg, flavor, dval, len(self.variables))

@@ -94,6 +94,9 @@ class Rationals:
     def is_zero(self, a):
         return a == 0
 
+    def contains(self, a):
+        return a.__class__ is int or a.__class__ is Fraction
+
     def to_str(self, a):
         return str(a)
 
@@ -178,6 +181,9 @@ class PrimeField:
 
     def is_zero(self, a):
         return a % self.p == 0
+
+    def contains(self, a):
+        return a.__class__ is int and 0 <= a < self.p
 
     def to_str(self, a):
         return str(a % self.p)

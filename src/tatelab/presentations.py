@@ -342,6 +342,22 @@ class Presentation:
         """Quotient dimensions in internal degrees 0..D."""
         return [len(self.quotient_basis(d)) for d in range(D + 1)]
 
+    def top_degree(self, cap):
+        """The least s <= cap with no standard monomial in degrees s + 1 ..
+        s + max(w), or None when there is none.  Then the ring is zero in
+        every degree above s: a monomial of higher degree has a divisor of
+        degree in that window, found by removing one variable at a time.
+        The scan stops at the first nonzero degree above cap."""
+        wmax = max(self.weights, default=1)
+        top = 0
+        for d in range(1, cap + wmax + 1):
+            if self.quotient_basis(d):
+                if d > cap:
+                    return None
+                top = d
+            elif d - top == wmax:
+                return top
+
     def reduce_monomial(self, mono):
         """Normal form of a (not necessarily standard) monomial: {std mono: scalar}.
 

@@ -84,7 +84,7 @@ def _variable_name(tower, n, i):
     return "%s%d_%d" % ("x" if tower.flavor == "gamma" else "y", n, i)
 
 
-def minimal_generators(tower, q, D):
+def minimal_generators(tower, q, D, cap=None, reach=None):
     """Cycle lifts of a minimal generating set of H_q over the ground ring,
     each adjoined to tower as a stage-(q + 1) variable as soon as it is found.
 
@@ -107,11 +107,18 @@ def minimal_generators(tower, q, D):
     only until their span fills the free columns.  Once every degree is
     scanned, H_q = 0 through D, and the tower records it for the kernels
     of the next stage (``ExtensionTower.mark_acyclic``).
+
+    cap, from a caller that knows H_q has no generator above it, ends the
+    picks and the boundary reads; reach >= cap ends the kernels, whose free
+    lists name the rows that the kernels of later stages eliminate.  Both
+    default to D.  H_q = 0 is still recorded through D.
     """
+    cap = D if cap is None else cap
+    reach = D if reach is None else reach
     gens = []
-    for d in range(0, D + 1):
+    for d in range(0, reach + 1):
         kernel = tower.kernel(q, d)
-        if not kernel.free:
+        if d > cap or not kernel.free:
             continue
         for f in linalg.complement(kernel.free, tower.columns(q + 1, d), tower.field):
             z = tower.element(kernel.vector(f), q, d)
@@ -121,18 +128,32 @@ def minimal_generators(tower, q, D):
     return gens
 
 
-def _build_stages(ground, flavor, stage1, N, D):
+def _build_stages(ground, flavor, stage1, N, D, top=None, lag=0):
     """Tower over ground through stage N and internal degree D: stage 1
     kills the reduced ground elements of stage1, [(degree, element)], and
     ``minimal_generators`` adjoins stage n, which kills minimal generators
-    of H_{n-1}."""
+    of H_{n-1}.
+
+    top is the top degree s of a ring S whose stage-n variables count
+    eps_{n + lag}(S) by internal degree, or None.  S_d = 0 for d > s, so
+    the bar construction of S has internal degrees <= n*s in homological
+    degree n, and eps_{n,j}(S) = 0 for j > n*s: a stage-n variable has
+    internal degree at most (n + lag)*s.  Stage n picks only up to that
+    bound, and every stage takes its kernels up to the bound of stage N,
+    which the last stage's kernels read.  The tower is the one a scan
+    through D builds.
+    """
     if N < 1:
         raise ResolutionError("stage bound must be >= 1")
     tower = ExtensionTower(ground, flavor, nmax=N, dmax=D)
     for i, (d, g) in enumerate(stage1):
         tower.adjoin(_variable_name(tower, 1, i + 1), 1, d, tower.ground_element(g))
+
+    def bound(n):
+        return D if top is None else min(D, (n + lag) * top)
+
     for q in range(1, N):
-        minimal_generators(tower, q, D)
+        minimal_generators(tower, q, D, bound(q + 1), bound(N))
     return tower
 
 
@@ -143,7 +164,12 @@ def build_minimal_model(pres, N, D):
     set of the kernel ideal; stage n kills minimal generators of H_{n-1}.
     The differential is decomposable by construction.
     """
-    return _build_stages(pres.free_base(), "plain", kernel_generators(pres), N, D)
+    base = pres.free_base()
+    # over a quotient base the stages count eps(S|R), which S's top degree
+    # does not bound.  Stage n counts eps_{n+1}(S), so stage 2, the first
+    # one picked, stops short of D only when 3*s < D
+    top = None if base.relators else pres.top_degree(D // 3)
+    return _build_stages(base, "plain", kernel_generators(pres), N, D, top, 1)
 
 
 def build_acyclic_closure(pres, N, D):
@@ -157,4 +183,5 @@ def build_acyclic_closure(pres, N, D):
     nvars = len(pres.names)
     variables = [(w, {tuple(int(k == i) for k in range(nvars)): pres.field.one})
                  for i, (_, w) in enumerate(pres.variables)]
-    return _build_stages(pres, "gamma", variables, N, D)
+    # stage n counts eps_n(S): stage 2 stops short of D only when 2*s < D
+    return _build_stages(pres, "gamma", variables, N, D, pres.top_degree(D // 2))

@@ -5,6 +5,8 @@ import pytest
 
 from tatelab import linalg, parse_presentation
 
+from oracles import hilbert_oracle
+
 CATALOG = os.path.join(os.path.dirname(__file__), "..", "catalog")
 
 SINGLE_INSTANCES = [
@@ -13,6 +15,12 @@ SINGLE_INSTANCES = [
 ]
 
 TOWER_INSTANCES = ["tower_ci_q", "tower_jz_q", "tower_jz_f2"]
+
+# the top degree s of each single instance (R_d = 0 exactly for d > s), read
+# off its relators: k[x]/(x^2) and m^2 = 0 stop at 1, x^2, y^2 at x*y, x^2,
+# y^3 at x*y^2; x^2, x*y keeps every y^d, and x^4 + y^2 every x^d
+TOP_DEGREES = {"hyp_q": 1, "hyp_f2": 1, "ci_q": 3, "m2zero_q": 1, "m2zero_f2": 1,
+               "m2zero_f5": 1, "cidiag_f2": 2, "xsq_xy_q": None, "hyp_weighted_q": None}
 
 # a Q ring whose eliminations meet non-unit pivots and print non-integral
 # coefficients
@@ -58,6 +66,25 @@ def check_kernels(t, nmax, D):
             want = check_kernel(t, n, d, t.kernel(n, d))
             taken.append((n, d, rows, len(want.pivots)))
     return taken
+
+
+def check_top_degree(doc, caps, known=None):
+    """Presentation.top_degree against DenseRing dimensions for each cap: s
+    is the least s <= cap whose max(w) degrees above are empty, the ring is
+    zero in every degree above s up to three windows further, and the scan
+    finds the top degree known whenever cap reaches it."""
+    pres = parse_presentation(doc)
+    wmax = max(pres.weights)
+    dims = hilbert_oracle(doc, max(caps) + 3 * wmax)
+    for cap in caps:
+        s = pres.top_degree(cap)
+        empty = [t for t in range(cap + 1) if not any(dims[t + 1:t + wmax + 1])]
+        assert s == min(empty, default=None), cap
+        if s is not None:
+            assert (dims[s] or s == 0) and not any(dims[s + 1:]), cap
+        if known is not None and cap >= known:
+            assert s == known, cap
+    return s
 
 
 @pytest.fixture(scope="session")

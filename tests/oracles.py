@@ -273,6 +273,15 @@ class DenseRing:
         return out
 
 
+def hilbert_oracle(doc, D):
+    """dim R_d for d = 0..D of the ring doc presents, by DenseRing."""
+    names = [v["name"] for v in doc["variables"]]
+    weights = [v["degree"] for v in doc["variables"]]
+    relators = [parse_poly(r, names) for r in doc["relators"]]
+    ring = DenseRing(field_of(doc), weights, relators, D)
+    return [ring.dim(d) for d in range(D + 1)]
+
+
 # ---------------------------------------------------------------------------
 # graded free modules over a DenseRing
 

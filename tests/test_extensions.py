@@ -4,6 +4,7 @@ import ast
 import math
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -467,6 +468,36 @@ def test_adjoin_reads_no_degree_data_of_a_ground_value(monkeypatch):
                         base=ground_xy())
     t = koszul_complex(pres, 12)
     assert [v.ideg for v in t.variables] == [huge, 2]
+
+
+@pytest.mark.parametrize("name, scalar", [("m2zero_q", Fraction(0)), ("m2zero_q", "abc"),
+                                          ("m2zero_f2", 0), ("m2zero_f2", 3)],
+                         ids=["zero-Q", "foreign-Q", "zero-F2", "unreduced-F2"])
+def test_adjoin_refuses_a_scalar_that_is_not_a_nonzero_field_element(name, scalar):
+    # x * x1_1 is a cycle on the closure of m^2 = 0, and with a zero or a
+    # non-field scalar it was adjoined and printed as 0*x*x1_1 or abc*x*x1_1
+    t = build_acyclic_closure(load_pres(name), 1, 6)
+    before = t.dump()
+    with pytest.raises(TowerError, match="not a nonzero element"):
+        t.adjoin("z", 2, 2, Element(t, {((1, 0), ((0, 1),)): scalar}))
+    assert t.dump() == before
+    t.adjoin("z", 2, 2, Element(t, {((1, 0), ((0, 1),)): t.field.one}))
+    assert t.dump()[-1]["differential"] == "x*x1_1"
+
+
+def test_adjoin_refuses_a_value_above_the_internal_bound_before_the_cycle_check():
+    # x^(k-1)*y*x1 + x^k*x1 with k = 20000 over Q[x, y]: the cycle check
+    # would build the shift tables of degree k, one row per monomial of that
+    # degree; a ground value of the same degree is still taken
+    t = ExtensionTower(ground_xy(), "gamma", dmax=8)
+    t.adjoin("x1", 1, 1, t.ground_element({(1, 0): QQ.one}))
+    k = 20000
+    value = Element(t, {((k - 1, 1), ((0, 1),)): QQ.one, ((k, 0), ((0, 1),)): QQ.one})
+    with pytest.raises(TowerError, match="exceeds the tower's internal bound 8"):
+        t.adjoin("z", 2, k + 1, value)
+    assert not [key for key in t.ground._cache if key[0] == "shift" and key[2] > 8]
+    t.adjoin("y1", 1, k, t.ground_element({(k, 0): QQ.one}))
+    assert [v.name for v in t.variables] == ["x1", "y1"]
 
 
 def test_adjoin_weakly_increasing_hdeg():

@@ -10,6 +10,8 @@ what the parser accepts: no monomial of a relator is linear, and no
 relator vanishes in the field, since each keeps a term with coefficient 1.
 """
 
+from unittest.mock import patch
+
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -20,7 +22,7 @@ from tatelab.presentations import Presentation, parse_presentation
 from tatelab.resolution import (build_acyclic_closure, build_minimal_model,
                                 kernel_generators)
 
-from conftest import TOWER_INSTANCES, check_kernels, load_doc
+from conftest import TOWER_INSTANCES, check_kernels, check_top_degree, load_doc
 from oracles import betti_oracle
 from reference import RefElement
 
@@ -84,6 +86,29 @@ def test_routes_and_oracle_agree_on_generated_rings(doc):
     assert_d_squared_zero(model, N)
     check_kernels(closure, N + 1, D)
     check_kernels(model, N, D)
+
+
+def with_pure_powers(doc):
+    """The drawn ring with the square of every variable added: artinian, so
+    the builders stop each stage at its top-degree bound."""
+    return dict(doc, relators=doc["relators"] + ["%s^2" % v["name"] for v in doc["variables"]])
+
+
+@seed(20261020)
+@settings(max_examples=50, deadline=None, database=None)
+@given(presentations())
+def test_top_degree_bound_builds_the_unbounded_tower_on_generated_rings(doc):
+    # the top degree agrees with DenseRing on the drawn ring and on its
+    # artinian variant, and where it bounds a stage below D = 8, both
+    # routes build the towers they build with it patched to None
+    builds = ((build_acyclic_closure, N), (build_minimal_model, N - 1))
+    for variant in (doc, with_pure_powers(doc)):
+        if check_top_degree(variant, range(5)) is None:
+            continue
+        towers = [build(parse_presentation(variant), n, 8).dump() for build, n in builds]
+        with patch.object(Presentation, "top_degree", lambda self, cap: None):
+            assert [build(parse_presentation(variant), n, 8).dump()
+                    for build, n in builds] == towers
 
 
 def invariants(doc):

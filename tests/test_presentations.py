@@ -7,7 +7,8 @@ from tatelab.fields import PrimeField, QQ
 from tatelab.presentations import (Presentation, PresentationError,
                                    parse_polynomial, parse_presentation)
 
-from conftest import SINGLE_INSTANCES, TOWER_INSTANCES, load_doc
+from conftest import (NONUNIT_Q, SINGLE_INSTANCES, TOP_DEGREES, TOWER_INSTANCES,
+                      check_top_degree, load_doc)
 from reference import multiply
 
 VARS_XY = [("x", 1), ("y", 1)]
@@ -151,6 +152,30 @@ def test_quotient_basis_nontrivial_pivot():
 def test_hilbert_hypersurface_weighted():
     p = P(["x^4 + y^2"], variables=[("x", 1), ("y", 2)])
     assert p.hilbert(8) == [1, 1, 2, 2, 2, 2, 2, 2, 2]
+
+
+# -- top degree ---------------------------------------------------------------
+
+# weights 1 and 2: x^3*y, of degree 5, is the top monomial, and degrees 6
+# and 7 are the first max(w) = 2 empty degrees in a row
+WEIGHTED_ARTINIAN = {"field": {"type": "Q"},
+                     "variables": [{"name": "x", "degree": 1}, {"name": "y", "degree": 2}],
+                     "relators": ["x^4", "y^2"], "base_relators": []}
+TOP_DEGREE_DOCS = {**{name: load_doc(name) for name in SINGLE_INSTANCES},
+                   "weighted_artinian": WEIGHTED_ARTINIAN, "nonunit_q": NONUNIT_Q}
+
+
+@pytest.mark.parametrize("name", sorted(TOP_DEGREE_DOCS))
+def test_top_degree_matches_dense_ring(name):
+    known = {"weighted_artinian": 5, "nonunit_q": 2}.get(name, TOP_DEGREES.get(name))
+    assert check_top_degree(TOP_DEGREE_DOCS[name], range(9), known) == known
+
+
+def test_top_degree_reads_no_degree_past_the_first_nonzero_above_cap():
+    # y^d never vanishes on k[x, y]/(x^2, x*y): cap 4 reads degrees 1..5
+    p = P(["x^2", "x*y"])
+    assert p.top_degree(4) is None
+    assert max(key[1] for key in p._cache if key[0] == "qb") == 5
 
 
 # -- normal form and multiplication -----------------------------------------

@@ -20,7 +20,7 @@ from tatelab.resolution import (ResolutionError, build_acyclic_closure,
                                 koszul_complex, koszul_on_minimal_generators,
                                 minimal_generators)
 
-from conftest import (CATALOG, NONUNIT_Q, SINGLE_INSTANCES, check_kernel,
+from conftest import (CATALOG, NONUNIT_Q, SINGLE_INSTANCES, TOP_DEGREES, check_kernel,
                       check_kernels, homology_dim, load_doc, load_pres)
 from oracles import deviations_from_betti
 from reference import RefElement, coords, ref, word_differential
@@ -534,10 +534,20 @@ def test_one_word_product_per_term_of_the_last_differential(monkeypatch, build, 
     # a word m * X shifts d(1 * X) and a pure word a * v^e extends d(a), so
     # the only products are a * w for the terms w of d(v), and since a has
     # monomial 1 they multiply extension parts alone: no word product.  The
-    # shifts read the tables the build left in the ring, so reassembly
-    # reduces no monomial
+    # shifts read the tables the build left in the ring, so reassembling the
+    # pieces the build read reduces no monomial; over an artinian ground the
+    # build stops short of D and leaves no tables for the pieces above
     D = 12
+    visited = set()
+    columns = ExtensionTower.columns
+
+    def recorded(tower, n, d):
+        visited.add((n, d))
+        return columns(tower, n, d)
+
+    monkeypatch.setattr(ExtensionTower, "columns", recorded)
     t = build(load_pres(name), N, D)
+    monkeypatch.undo()
     t._dwords.clear()
     calls = []
     merge = t._merge
@@ -548,9 +558,8 @@ def test_one_word_product_per_term_of_the_last_differential(monkeypatch, build, 
 
     monkeypatch.setattr(t, "_merge", counting)
     monkeypatch.setattr(t.ground, "reduce_monomial", None)
-    for n in range(1, N + 2):
-        for d in range(D + 1):
-            t.matrix(n, d)
+    for n, d in sorted(visited):
+        t.matrix(n, d)
     pure = [ext for mono, ext in t._dwords if ext and not any(mono)]
     assert len(calls) == sum(len(t.variables[ext[-1][0]].dval.terms) for ext in pure)
     assert len(pure) > 100
@@ -604,6 +613,18 @@ GUARDED = [(build_minimal_model, "m2zero_q"), (build_acyclic_closure, "m2zero_f2
            (build_minimal_model, "xsq_xy_q")]
 
 
+def kernel_reach(build, name, N, D):
+    """The internal degree through which every stage of a build over a
+    catalog ring takes its kernels: D, or the bound of stage N where the
+    ring has a top degree s, N*s for the closure and (N + 1)*s for the
+    model over the polynomial ring."""
+    s = TOP_DEGREES[name]
+    if s is None:
+        return D
+    lag = 1 if build is build_minimal_model else 0
+    return min(D, (N + lag) * s)
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Forward eliminations (Kernel constructions), kernels decided with no
@@ -644,10 +665,11 @@ def test_one_solve_per_stage_and_degree(kernel_calls, build, name):
     N, D = 5, 10
     t = build(load_pres(name), N, D)
     counted = dict(kernel_calls)  # the solved() calls below eliminate too
+    reach = kernel_reach(build, name, N, D)
     left_open = sum(q == 1 or len(t.solved(q - 1, d)) not in (0, len(t.piece(q, d)))
-                    for q in range(1, N) for d in range(D + 1))
+                    for q in range(1, N) for d in range(reach + 1))
     assert counted["eliminations"] == left_open
-    assert counted["eliminations"] + counted["decided"] == (N - 1) * (D + 1)
+    assert counted["eliminations"] + counted["decided"] == (N - 1) * (reach + 1)
     if build is build_acyclic_closure:
         assert counted["decided"] > 0
 
@@ -660,9 +682,9 @@ def test_kernel_vectors_solved_only_for_new_generators(monkeypatch, kernel_calls
     # many more free columns
     per_stage = []
 
-    def counted(tower, q, bound):
+    def counted(tower, q, *bounds):
         before = kernel_calls["vectors"]
-        gens = minimal_generators(tower, q, bound)
+        gens = minimal_generators(tower, q, *bounds)
         per_stage.append((kernel_calls["vectors"] - before, len(gens)))
         return gens
 
@@ -782,7 +804,7 @@ def test_kernels_from_free_rows_match_all_rows(monkeypatch, name, build):
     t = build(load_pres(name), N, D)
     monkeypatch.undo()
     check_kernels(t, N + 1, D)
-    assert len(taken) == (N - 1) * (D + 1)
+    assert len(taken) == (N - 1) * (kernel_reach(build, name, N, D) + 1)
 
 
 def test_koszul_kernels_from_free_rows_match_all_rows():
@@ -849,9 +871,9 @@ def kernel_row_adds(monkeypatch):
     select, init, add = (resolution.minimal_generators, linalg.Kernel.__init__,
                          linalg.Echelon.add)
 
-    def staged(tower, q, D):
+    def staged(tower, q, *bounds):
         stage[0] = q
-        return select(tower, q, D)
+        return select(tower, q, *bounds)
 
     def counting_init(self, *args):
         before = adds[0]
@@ -914,11 +936,14 @@ def test_model_job_reduces_few_boundaries(monkeypatch, capsys):
 # assembled, the eliminations and the pattern enumerations of each; every
 # kernel used to be assembled and eliminated and every stage enumerated each
 # degree's patterns anew: (4876, 117, 19) on each closure job, (10099, 78,
-# 14) on the model job and (1637, 65, 12) on aq-ranks
+# 14) on the model job and (1637, 65, 12) on aq-ranks.  With every stage
+# scanned through D, and not only to the bound the ground's top degree
+# sets, they were (1816, 13, 11) on each closure job and (7316, 48, 8) on
+# the model job
 BUILD_COUNTS = [
-    ("m2zero_f2", ("deviations", "--N", "10"), (1816, 13, 11)),
-    ("m2zero_f5", ("betti", "--N", "10"), (1816, 13, 11)),
-    ("m2zero_q", ("deviations", "--route", "minimal-model", "--N", "8"), (7316, 48, 8)),
+    ("m2zero_f2", ("deviations", "--N", "10"), (1816, 11, 11)),
+    ("m2zero_f5", ("betti", "--N", "10"), (1816, 11, 11)),
+    ("m2zero_q", ("deviations", "--route", "minimal-model", "--N", "8"), (650, 24, 8)),
     ("xsq_xy_q", ("aq-ranks",), (1158, 43, 7)),
 ]
 
@@ -951,6 +976,33 @@ def test_benchmark_jobs_build_only_what_a_stage_reads(monkeypatch, capsys, insta
     capsys.readouterr()
     assert code == 0
     assert (counts["columns"], counts["eliminations"], counts["patterns"]) == want
+
+
+# every single instance at the default N = 6, D = 12, then windows where the
+# bound n*s ends far below D: ci_q (s = 3) at D = 20 and a deep m^2 = 0
+CAPPED_WINDOWS = [(name, 6, 12) for name in SINGLE_INSTANCES] + [("ci_q", 6, 20),
+                                                                 ("m2zero_q", 12, 14)]
+
+
+@pytest.mark.parametrize("build", TOWER_KINDS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize("name, N, D", CAPPED_WINDOWS,
+                         ids=["%s-%d-%d" % w for w in CAPPED_WINDOWS])
+def test_top_degree_bound_builds_the_unbounded_tower(monkeypatch, name, N, D, build):
+    # a stage stops picking at the bound the ground's top degree sets, and
+    # the tower is the one a scan of every degree through D builds
+    capped = build(load_pres(name), N, D).dump()
+    monkeypatch.setattr(Presentation, "top_degree", lambda self, cap: None)
+    assert build(load_pres(name), N, D).dump() == capped
+
+
+def test_model_over_a_quotient_base_scans_through_D():
+    # k[x]/(x^4) ->> k[x]/(x^2): x^2*y1 is a cycle, since x^4 = 0 in the base,
+    # so eps_3(S|R) sits in degree 4, above the bound 3*s = 3 that the top
+    # degree s = 1 of S puts on eps_3(S)
+    pres = P(["x^4", "x^2"], variables=(("x", 1),), base_relators=["x^4"])
+    t = build_minimal_model(pres, 3, 8)
+    assert [(v.hdeg, v.ideg, str(v.dval)) for v in t.variables] == \
+        [(1, 2, "x^2"), (2, 4, "x^2*y1_1")]
 
 
 def test_deep_model_route_matches_the_betti_oracle(capsys):
@@ -1020,10 +1072,12 @@ def test_free_coordinate_selection_matches_full_coordinates(monkeypatch, name, b
     N, D = 5, 10
     stages = []
 
-    def checked(tower, q, bound):
-        # the reference reads d_{q+1} before minimal_generators adjoins stage q + 1
+    def checked(tower, q, bound, *caps):
+        # the reference reads d_{q+1} before minimal_generators adjoins stage
+        # q + 1, and scans every degree through the bound: the caps drop no
+        # generator
         expect = full_coordinate_generators(tower, q, bound)
-        gens = minimal_generators(tower, q, bound)
+        gens = minimal_generators(tower, q, bound, *caps)
         assert gens == expect, q
         stages.append(q)
         return gens
