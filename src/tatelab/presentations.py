@@ -347,8 +347,13 @@ class Presentation:
         s + max(w), or None when there is none.  Then the ring is zero in
         every degree above s: a monomial of higher degree has a divisor of
         degree in that window, found by removing one variable at a time.
-        The scan stops at the first nonzero degree above cap."""
+        No relator has a linear term, so every variable is standard and
+        s >= max(w): a variable above cap gives None before any degree is
+        read, and the scan, which stops at the first nonzero degree above
+        cap, reads at most degree 2*cap."""
         wmax = max(self.weights, default=1)
+        if wmax > cap:
+            return None
         top = 0
         for d in range(1, cap + wmax + 1):
             if self.quotient_basis(d):

@@ -128,26 +128,29 @@ def minimal_generators(tower, q, D, cap=None, reach=None):
     return gens
 
 
-def _build_stages(ground, flavor, stage1, N, D, top=None, lag=0):
+def _build_stages(ground, flavor, stage1, N, D, ring, lag):
     """Tower over ground through stage N and internal degree D: stage 1
     kills the reduced ground elements of stage1, [(degree, element)], and
     ``minimal_generators`` adjoins stage n, which kills minimal generators
     of H_{n-1}.
 
-    top is the top degree s of a ring S whose stage-n variables count
-    eps_{n + lag}(S) by internal degree, or None.  S_d = 0 for d > s, so
-    the bar construction of S has internal degrees <= n*s in homological
-    degree n, and eps_{n,j}(S) = 0 for j > n*s: a stage-n variable has
-    internal degree at most (n + lag)*s.  Stage n picks only up to that
-    bound, and every stage takes its kernels up to the bound of stage N,
-    which the last stage's kernels read.  The tower is the one a scan
-    through D builds.
+    ring is a ring S whose stage-n variables count eps_{n + lag}(S) by
+    internal degree, or None when no ring bounds them.  If S has top
+    degree s (S_d = 0 for d > s), the bar construction of S has internal
+    degrees <= n*s in homological degree n, and eps_{n,j}(S) = 0 for
+    j > n*s: a stage-n variable has internal degree at most (n + lag)*s.
+    Stage n picks only up to that bound, and every stage takes its kernels
+    up to the bound of stage N, which the last stage's kernels read.
+    Stage 2, the first one picked, stops short of D only when
+    (2 + lag)*s < D, so s is looked for up to D // (2 + lag).  The tower
+    is the one a scan through D builds.
     """
     if N < 1:
         raise ResolutionError("stage bound must be >= 1")
     tower = ExtensionTower(ground, flavor, nmax=N, dmax=D)
     for i, (d, g) in enumerate(stage1):
         tower.adjoin(_variable_name(tower, 1, i + 1), 1, d, tower.ground_element(g))
+    top = None if ring is None else ring.top_degree(D // (2 + lag))
 
     def bound(n):
         return D if top is None else min(D, (n + lag) * top)
@@ -165,11 +168,10 @@ def build_minimal_model(pres, N, D):
     The differential is decomposable by construction.
     """
     base = pres.free_base()
-    # over a quotient base the stages count eps(S|R), which S's top degree
-    # does not bound.  Stage n counts eps_{n+1}(S), so stage 2, the first
-    # one picked, stops short of D only when 3*s < D
-    top = None if base.relators else pres.top_degree(D // 3)
-    return _build_stages(base, "plain", kernel_generators(pres), N, D, top, 1)
+    # stage n counts eps_{n+1}(S) over a polynomial base, and eps(S|R),
+    # which S's top degree does not bound, over a quotient base
+    ring = None if base.relators else pres
+    return _build_stages(base, "plain", kernel_generators(pres), N, D, ring, 1)
 
 
 def build_acyclic_closure(pres, N, D):
@@ -183,5 +185,4 @@ def build_acyclic_closure(pres, N, D):
     nvars = len(pres.names)
     variables = [(w, {tuple(int(k == i) for k in range(nvars)): pres.field.one})
                  for i, (_, w) in enumerate(pres.variables)]
-    # stage n counts eps_n(S): stage 2 stops short of D only when 2*s < D
-    return _build_stages(pres, "gamma", variables, N, D, pres.top_degree(D // 2))
+    return _build_stages(pres, "gamma", variables, N, D, pres, 0)

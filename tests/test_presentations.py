@@ -178,6 +178,17 @@ def test_top_degree_reads_no_degree_past_the_first_nonzero_above_cap():
     assert max(key[1] for key in p._cache if key[0] == "qb") == 5
 
 
+def test_top_degree_reads_no_degree_below_a_variable_above_cap(monkeypatch):
+    # every variable is standard, so a variable of degree 10^9 puts the top
+    # degree above any cap, and the helper says so before reading a degree
+    def unread(self, d):
+        raise AssertionError(d)
+
+    p = P(["x^2"], variables=[("x", 1), ("y", 10 ** 9)])
+    monkeypatch.setattr(Presentation, "quotient_basis", unread)
+    assert [p.top_degree(cap) for cap in (0, 4, 10 ** 9 - 1)] == [None] * 3
+
+
 # -- normal form and multiplication -----------------------------------------
 
 def test_reduce_monomial_hypersurface():

@@ -995,6 +995,24 @@ def test_top_degree_bound_builds_the_unbounded_tower(monkeypatch, name, N, D, bu
     assert build(load_pres(name), N, D).dump() == capped
 
 
+def test_model_reads_no_degree_of_a_variable_above_D(monkeypatch):
+    # k[x, y]/(x^2) with deg y = 10^9: the variable y sits above the scan
+    # cap D // 3, so the ring has no top degree there, and the model, whose
+    # stage 1 kills x^2 over the polynomial ring, reads only the degrees
+    # through D, as it does without the bound
+    quotient_basis = Presentation.quotient_basis
+
+    def bounded(self, d):
+        assert d <= 8, d
+        return quotient_basis(self, d)
+
+    monkeypatch.setattr(Presentation, "quotient_basis", bounded)
+    pres = P(["x^2"], variables=(("x", 1), ("y", 10 ** 9)))
+    capped = build_minimal_model(pres, 4, 8).dump()
+    monkeypatch.setattr(Presentation, "top_degree", lambda self, cap: None)
+    assert build_minimal_model(pres, 4, 8).dump() == capped
+
+
 def test_model_over_a_quotient_base_scans_through_D():
     # k[x]/(x^4) ->> k[x]/(x^2): x^2*y1 is a cycle, since x^4 = 0 in the base,
     # so eps_3(S|R) sits in degree 4, above the bound 3*s = 3 that the top
