@@ -44,10 +44,10 @@ Conventions fixed once and for all:
     ``adjoin`` checks that a differential value is a cycle by summing the
     same rows over its terms;
   * ``kernel(n, d)`` keeps the free columns of the kernel it takes, and
-    the kernel out of (n + 1, d) eliminates only its rows there, or none
-    when those rows decide it: no rows make the differential zero, and as
-    many rows as words, where H_n = 0 is recorded (``mark_acyclic``),
-    make it injective.
+    the kernel out of (n + 1, d), which takes it first when it is not
+    kept, eliminates only its rows there, or none when those rows decide
+    it: no rows make the differential zero, and as many rows as words,
+    where H_n = 0 is recorded (``mark_acyclic``), make it injective.
 
 Words are pairs (mono, ext) with mono a standard ground monomial and ext
 a tuple of (variable index, exponent) pairs sorted by index.
@@ -166,6 +166,9 @@ class ExtensionTower:
             flavor = DIVIDED if self.flavor == "gamma" else POLYNOMIAL
         if dval is None:
             dval = Element.zero(self)
+        if not isinstance(dval, Element):
+            raise TowerError("differential value is a %s, not an Element"
+                             % type(dval).__name__)
         if dval.tower is not self:
             raise TowerError("differential value belongs to a different tower")
         ground, field = self.ground, self.field
@@ -176,8 +179,10 @@ class ExtensionTower:
             for idx, _ in ext:
                 if idx >= len(self.variables):
                     raise TowerError("differential value uses later variables")
-            # without relators every monomial is standard, whatever its degree
-            if ground.relators and mono not in ground.basis_index(ground.degree_of(mono)):
+            # without relators every monomial is standard, whatever its degree,
+            # and relators have no linear term, so a variable always is
+            if (ground.relators and sum(mono) != 1
+                    and mono not in ground.basis_index(ground.degree_of(mono))):
                 raise TowerError("differential value is not reduced: %s is not a "
                                  "standard monomial" % ground.mono_str(mono))
         bid = dval.bidegree()
@@ -449,16 +454,17 @@ class ExtensionTower:
 
     def kernel(self, n, d):
         """``linalg.Kernel`` of the differential out of (n, d), eliminating
-        only its rows at the free columns of the last kernel taken out of
-        (n - 1, d), or all rows when there is none.
+        only its rows at the free columns of the kernel out of (n - 1, d),
+        which it takes first when no free list of it is kept; out of
+        (1, d) it eliminates all rows.
 
         Those rows have the kernel of the whole matrix in any tower:
         d_{n-1} d_n = 0 puts every column of d_n in the kernel of d_{n-1},
         and a vector of that kernel is zero when it is zero at the free
         columns.  Read at those columns, the image of d_n fills every
         coordinate, so the rows are independent, exactly where H_{n-1} = 0
-        in degree d.  A builder kills H_{n-1} through the bound before it
-        takes this kernel, so there each row eliminated adds a pivot.
+        in degree d.  A builder kills H_{n-1} before it takes this kernel,
+        so there each row eliminated adds a pivot.
 
         Two counts decide the kernel with no assembly and no elimination.
         No rows named: d_n is zero, and every column is free.  H_{n-1} = 0
@@ -467,6 +473,8 @@ class ExtensionTower:
         is kept under ("free", n, d) for the kernel out of (n + 1, d), and
         ``adjoin`` drops it with the piece (n, d).
         """
+        if n > 1 and ("free", n - 1, d) not in self._cache:
+            self.kernel(n - 1, d)
         rows = self._cache.get(("free", n - 1, d))
         size = self._layout(n, d)[2]
         if rows == []:

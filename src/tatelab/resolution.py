@@ -9,7 +9,9 @@ miss and adjoins one variable per pick at once, with that cycle as its
 differential value.  A variable y with d(y) = g makes every multiple s*g
 a boundary, d(s*y), in the degrees above, so the boundaries alone carry
 graded Nakayama's decomposables and the picks minimally generate the
-homology as a module over the ground ring.
+homology as a module over the ground ring.  Every kernel comes from
+``ExtensionTower.kernel``, which takes the kernels below it as it needs
+them, so a stage is scanned only through its own bound.
 
 All reported counts are certified only through the internal-degree
 bound D: homology generators of internal degree > D are invisible.
@@ -84,7 +86,7 @@ def _variable_name(tower, n, i):
     return "%s%d_%d" % ("x" if tower.flavor == "gamma" else "y", n, i)
 
 
-def minimal_generators(tower, q, D, cap=None, reach=None):
+def minimal_generators(tower, q, D):
     """Cycle lifts of a minimal generating set of H_q over the ground ring,
     each adjoined to tower as a stage-(q + 1) variable as soon as it is found.
 
@@ -107,19 +109,10 @@ def minimal_generators(tower, q, D, cap=None, reach=None):
     only until their span fills the free columns.  Once every degree is
     scanned, H_q = 0 through D, and the tower records it for the kernels
     of the next stage (``ExtensionTower.mark_acyclic``).
-
-    cap, from a caller that knows H_q has no generator above it, ends the
-    picks and the boundary reads; reach >= cap ends the kernels, whose free
-    lists name the rows that the kernels of later stages eliminate.  Both
-    default to D.  H_q = 0 is still recorded through D.
     """
-    cap = D if cap is None else cap
-    reach = D if reach is None else reach
     gens = []
-    for d in range(0, reach + 1):
+    for d in range(D + 1):
         kernel = tower.kernel(q, d)
-        if d > cap or not kernel.free:
-            continue
         for f in linalg.complement(kernel.free, tower.columns(q + 1, d), tower.field):
             z = tower.element(kernel.vector(f), q, d)
             gens.append((d, z))
@@ -139,11 +132,11 @@ def _build_stages(ground, flavor, stage1, N, D, ring, lag):
     degree s (S_d = 0 for d > s), the bar construction of S has internal
     degrees <= n*s in homological degree n, and eps_{n,j}(S) = 0 for
     j > n*s: a stage-n variable has internal degree at most (n + lag)*s.
-    Stage n picks only up to that bound, and every stage takes its kernels
-    up to the bound of stage N, which the last stage's kernels read.
-    Stage 2, the first one picked, stops short of D only when
-    (2 + lag)*s < D, so s is looked for up to D // (2 + lag).  The tower
-    is the one a scan through D builds.
+    Stage n is scanned only up to that bound, and H_{n-1} = 0 is then
+    recorded through D, which the theorem gives.  Stage 2, the first one
+    scanned, stops short of D only when (2 + lag)*s < D, so s is looked
+    for up to D // (2 + lag).  The tower is the one a scan through D
+    builds.
     """
     if N < 1:
         raise ResolutionError("stage bound must be >= 1")
@@ -151,12 +144,9 @@ def _build_stages(ground, flavor, stage1, N, D, ring, lag):
     for i, (d, g) in enumerate(stage1):
         tower.adjoin(_variable_name(tower, 1, i + 1), 1, d, tower.ground_element(g))
     top = None if ring is None else ring.top_degree(D // (2 + lag))
-
-    def bound(n):
-        return D if top is None else min(D, (n + lag) * top)
-
     for q in range(1, N):
-        minimal_generators(tower, q, D, bound(q + 1), bound(N))
+        minimal_generators(tower, q, D if top is None else min(D, (q + 1 + lag) * top))
+        tower.mark_acyclic(q, D)
     return tower
 
 

@@ -423,7 +423,8 @@ def test_adjoin_checks_cycles_on_words_with_a_monomial():
 
 def test_adjoin_refuses_foreign_and_later_variables_before_the_cycle_check(monkeypatch):
     # both values index a variable the tower does not have yet, so a cycle
-    # check that ran on them would fail with an IndexError, not refuse
+    # check that ran on them would fail with an IndexError, not refuse; a
+    # value that is no Element, here its terms alone, is refused first
     g, t2 = koszul_xy()
     t1 = ExtensionTower(g, "plain", nmax=6, dmax=12)
     monkeypatch.setattr(t1, "_is_cycle", None)
@@ -434,6 +435,8 @@ def test_adjoin_refuses_foreign_and_later_variables_before_the_cycle_check(monke
     later = Element(t1, {((1, 0), ((len(t1.variables), 1),)): QQ.one})
     with pytest.raises(TowerError, match="uses later variables"):
         t1.adjoin("bad", 2, 3, later)
+    with pytest.raises(TowerError, match="is a dict, not an Element"):
+        t1.adjoin("bad", 2, 3, later.terms)
     assert t1.variables == []
 
 

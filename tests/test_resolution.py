@@ -862,9 +862,51 @@ def test_adjoin_drops_the_free_lists_it_reaches():
         check_kernel(t, 3, e, t.kernel(3, e))
 
 
+@pytest.mark.parametrize("which", ["koszul", "cleared"])
+def test_kernel_takes_the_kernel_below_when_its_free_list_is_not_kept(monkeypatch,
+                                                                      which):
+    # a kernel taken with no free list of the differential below kept takes
+    # the kernel below first and eliminates only its rows at the free
+    # columns there; stage 1 eliminates all rows.  On the Koszul complex on
+    # x^2, xy, y^2 and on a built model whose free lists are dropped
+    pres = load_pres("m2zero_q")
+    if which == "koszul":
+        t = koszul_complex(pres, 8)
+    else:
+        t = build_minimal_model(pres, 4, 8)
+        for key in [k for k in t._cache if k[0] == "free"]:
+            del t._cache[key]
+    kernel, init = ExtensionTower.kernel, linalg.Kernel.__init__
+    taking, named, got = [], {}, {}
+
+    def tracked(tower, n, d):
+        taking.append((n, d))
+        got[n, d] = kernel(tower, n, d)
+        taking.pop()
+        return got[n, d]
+
+    def recording(self, cols, nrows, field, rows=None):
+        named[taking[-1]] = rows
+        init(self, cols, nrows, field, rows)
+
+    monkeypatch.setattr(ExtensionTower, "kernel", tracked)
+    monkeypatch.setattr(linalg.Kernel, "__init__", recording)
+    for d in range(9):
+        t.kernel(3, d)
+    monkeypatch.undo()
+    assert set(got) == {(n, d) for n in (1, 2, 3) for d in range(9)}
+    assert any(n > 1 for n, _ in named), named
+    for (n, d), rows in named.items():
+        below = None if n == 1 else linalg.Kernel(*t.matrix(n - 1, d), t.field).free
+        assert rows == below, (n, d)
+    for (n, d), k in got.items():
+        check_kernel(t, n, d, k)
+
+
 def kernel_row_adds(monkeypatch):
-    """[(q, rows eliminated, rank)] of every kernel minimal_generators takes
-    for stage q + 1, filled as the builders run."""
+    """[(q, rows eliminated, rank)] of every kernel taken while
+    minimal_generators runs for stage q + 1, filled as the builders run:
+    those out of (q, d) and those below that they take first."""
     stats = []
     stage = [None]
     adds = [0]
@@ -894,7 +936,9 @@ def kernel_row_adds(monkeypatch):
                          ids=lambda x: getattr(x, "__name__", x))
 def test_builder_kernels_eliminate_a_row_basis(monkeypatch, build, name):
     # stage q killed H_{q-1} through D, so the rows of d_q at the free
-    # columns of d_{q-1} are a row basis: each row eliminated adds a pivot
+    # columns of d_{q-1} are a row basis: each row eliminated adds a pivot.
+    # A later stage takes d_1 only above stage 2's bound, where S_d = 0
+    # and d_1 maps onto every row
     stats = kernel_row_adds(monkeypatch)
     build(load_pres(name), 6, 10)
     assert stats and all(adds == rank for q, adds, rank in stats if q >= 2), stats
@@ -995,11 +1039,13 @@ def test_top_degree_bound_builds_the_unbounded_tower(monkeypatch, name, N, D, bu
     assert build(load_pres(name), N, D).dump() == capped
 
 
-def test_model_reads_no_degree_of_a_variable_above_D(monkeypatch):
+@pytest.mark.parametrize("build", TOWER_KINDS, ids=lambda b: b.__name__)
+def test_builders_read_no_degree_of_a_variable_above_D(monkeypatch, build):
     # k[x, y]/(x^2) with deg y = 10^9: the variable y sits above the scan
-    # cap D // 3, so the ring has no top degree there, and the model, whose
-    # stage 1 kills x^2 over the polynomial ring, reads only the degrees
-    # through D, as it does without the bound
+    # cap D // (2 + lag), so the ring has no top degree there.  The model,
+    # whose stage 1 kills x^2 over the polynomial ring, and the closure,
+    # whose stage 1 kills y itself, a standard monomial of the ring, read
+    # only the degrees through D, as they do without the bound
     quotient_basis = Presentation.quotient_basis
 
     def bounded(self, d):
@@ -1008,9 +1054,9 @@ def test_model_reads_no_degree_of_a_variable_above_D(monkeypatch):
 
     monkeypatch.setattr(Presentation, "quotient_basis", bounded)
     pres = P(["x^2"], variables=(("x", 1), ("y", 10 ** 9)))
-    capped = build_minimal_model(pres, 4, 8).dump()
+    capped = build(pres, 4, 8).dump()
     monkeypatch.setattr(Presentation, "top_degree", lambda self, cap: None)
-    assert build_minimal_model(pres, 4, 8).dump() == capped
+    assert build(pres, 4, 8).dump() == capped
 
 
 def test_model_over_a_quotient_base_scans_through_D():
@@ -1090,12 +1136,12 @@ def test_free_coordinate_selection_matches_full_coordinates(monkeypatch, name, b
     N, D = 5, 10
     stages = []
 
-    def checked(tower, q, bound, *caps):
+    def checked(tower, q, bound):
         # the reference reads d_{q+1} before minimal_generators adjoins stage
-        # q + 1, and scans every degree through the bound: the caps drop no
-        # generator
-        expect = full_coordinate_generators(tower, q, bound)
-        gens = minimal_generators(tower, q, bound, *caps)
+        # q + 1, and scans every degree through the build's D: the stage
+        # bound drops no generator
+        expect = full_coordinate_generators(tower, q, D)
+        gens = minimal_generators(tower, q, bound)
         assert gens == expect, q
         stages.append(q)
         return gens
