@@ -7,16 +7,19 @@ presentation over the same variables, whose relators form a prefix of
 ours, encodes a surjection base ->> quotient; without one the base is
 the polynomial ring on the variables (free_base()).
 
-Everything is finite linear algebra per internal degree: the degree-d
-monomials of the quotient are the complement of the relator-multiple
-span, selected by reduced row echelon pivoting under the fixed monomial
-order (graded lexicographic for the declared variable order; within one
-degree that is descending lex on exponent tuples).  Every block of
-products s*m, s over the standard monomials of one degree, is a shift
-table (``shift``): the ideal spans behind the per-degree data, the kernel
-generators and the witness check sum its rows, and so does every tower
-over the ring.  Per-degree data and shift tables are cached
-idempotently, so instances are safe for concurrent read-only use.
+Everything is finite linear algebra per internal degree, held in one
+record per degree: (replacement, basis, index).  The standard monomials
+of degree d are the complement of the relator-multiple span, selected by
+reduced row echelon pivoting under the fixed monomial order (graded
+lexicographic for the declared variable order; within one degree that is
+descending lex on exponent tuples), and the replacement maps each pivot
+monomial to its normal form.  The polynomial ring eliminates nothing: its
+basis lists every monomial, and ``monomials`` is that basis.  Every block
+of products s*m, s over the standard monomials of one degree, is a shift
+table (``shift``): the ideal spans behind the per-degree records, the
+kernel generators and the witness check sum its rows, and so does every
+tower over the ring.  Records and shift tables are cached idempotently,
+so instances are safe for concurrent read-only use.
 """
 
 import re
@@ -270,17 +273,9 @@ class Presentation:
         return sum(e * w for e, w in zip(mono, self.weights))
 
     def monomials(self, d):
-        """All monomials of weighted degree d in descending lex order, one
-        tuple shared with the polynomial ring."""
-        if self.relators:
-            return self.polynomial_ring().monomials(d)
-        key = ("monos", d)
-        if key not in self._cache:
-            if d < 0:
-                self._cache[key] = ()
-            else:
-                self._cache[key] = tuple(_monomials(self.weights, d))
-        return self._cache[key]
+        """All monomials of weighted degree d in descending lex order: the
+        standard monomials of the polynomial ring, one tuple per degree."""
+        return self.polynomial_ring().quotient_basis(d)
 
     def mono_str(self, mono):
         parts = []
@@ -298,45 +293,43 @@ class Presentation:
 
     # -- per-degree quotient structure ---------------------------------
 
-    def _degree_data(self, d):
-        """(replacement dict, standard index tuple) in degree d.
-
-        replacement maps a pivot monomial of the relator-multiple span to
-        the equivalent combination of standard monomials.
-        """
+    def _degree(self, d):
+        """The cached record of degree d; ``_degree_data`` runs on a miss only."""
         key = ("deg", d)
-        if key in self._cache:
-            return self._cache[key]
-        monos = self.monomials(d)
-        ring = self.polynomial_ring()
-        rows = ring.ideal_span([ring.from_int_poly(f) for f in self.relators], d)
-        pivots, red = linalg.rref(rows, self.field)
-        pivset = set(pivots)
-        std = tuple(i for i in range(len(monos)) if i not in pivset)
+        if key not in self._cache:
+            self._cache[key] = self._degree_data(d)
+        return self._cache[key]
+
+    def _degree_data(self, d):
+        """(replacement, basis, index) of degree d, built once per degree.
+
+        basis is the tuple of standard monomials in descending lex order and
+        index maps each to its position.  replacement maps a pivot monomial
+        of the relator-multiple span to the equivalent combination of
+        standard monomials.  Without relators every monomial is standard:
+        the basis lists them and nothing is eliminated.
+        """
         repl = {}
-        for p in pivots:
-            row = red[p]
-            repl[monos[p]] = {monos[j]: self.field.neg(c)
-                              for j, c in row.items() if j != p}
-        data = (repl, std)
-        self._cache[key] = data
-        return data
+        if not self.relators:
+            basis = tuple(_monomials(self.weights, d)) if d >= 0 else ()
+        else:
+            monos = self.monomials(d)
+            ring = self.polynomial_ring()
+            rows = ring.ideal_span([ring.from_int_poly(f) for f in self.relators], d)
+            pivots, red = linalg.rref(rows, self.field)
+            for p in pivots:
+                row = red[p]
+                repl[monos[p]] = {monos[j]: self.field.neg(c)
+                                  for j, c in row.items() if j != p}
+            basis = tuple(m for m in monos if m not in repl)
+        return repl, basis, {m: i for i, m in enumerate(basis)}
 
     def quotient_basis(self, d):
         """Standard monomials of degree d, a tuple in descending lex order."""
-        key = ("qb", d)
-        if key not in self._cache:
-            monos = self.monomials(d)
-            _, std = self._degree_data(d)
-            self._cache[key] = tuple(monos[i] for i in std)
-        return self._cache[key]
+        return self._degree(d)[1]
 
     def basis_index(self, d):
-        key = ("qbi", d)
-        if key not in self._cache:
-            self._cache[key] = {m: i for i, m in
-                                enumerate(self.quotient_basis(d))}
-        return self._cache[key]
+        return self._degree(d)[2]
 
     def hilbert(self, D):
         """Quotient dimensions in internal degrees 0..D."""
@@ -366,22 +359,15 @@ class Presentation:
     def reduce_monomial(self, mono):
         """Normal form of a (not necessarily standard) monomial: {std mono: scalar}.
 
-        Without relators every monomial is standard, so no per-degree data
-        is built, whatever the degree.
+        A pivot's form is the dict its degree's record holds, so callers
+        only read it.  Without relators every monomial is standard, so no
+        per-degree data is built, whatever the degree.
         """
-        if not self.relators:
-            return {mono: self.field.one}
-        key = ("red", mono)
-        if key in self._cache:
-            return self._cache[key]
-        d = self.degree_of(mono)
-        repl, _ = self._degree_data(d)
-        if mono in repl:
-            out = dict(repl[mono])
-        else:
-            out = {mono: self.field.one}
-        self._cache[key] = out
-        return out
+        if self.relators:
+            repl = self._degree(self.degree_of(mono))[0]
+            if mono in repl:
+                return repl[mono]
+        return {mono: self.field.one}
 
     def shift(self, mono, b):
         """Shift table of a monomial on degree b: row i holds the reduced

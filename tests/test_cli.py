@@ -715,11 +715,14 @@ def test_setup_probe_parses_the_catalog():
 def test_one_elimination_per_presentation_and_degree(monkeypatch, capsys):
     # over the model_q and catalog_cli jobs every linalg.rref runs inside
     # Presentation._degree_data, once per (presentation, degree): the kernel
-    # generators and the witness check read the quotient's normal forms
-    inside, runs, outside = [], collections.Counter(), []
+    # generators and the witness check read the quotient's normal forms, and
+    # a relator-free ring lists its monomials with no elimination
+    inside, runs, outside, free = [], collections.Counter(), [], set()
     rref, degree_data = linalg.rref, Presentation._degree_data
 
     def traced_data(self, d):
+        if not self.relators:
+            free.add((self, d))
         inside.append((self, d))
         try:
             return degree_data(self, d)
@@ -742,7 +745,7 @@ def test_one_elimination_per_presentation_and_degree(monkeypatch, capsys):
             capsys.readouterr()
     assert not outside
     assert runs and set(runs.values()) == {1}
-    # a declared relator-free base is the polynomial ring of its quotient and
-    # of every tower layer above it: 28 + 2110 in all, where a second ring
-    # per instance and the kernel generators' own eliminations made 28 + 2669
-    assert sum(runs.values()) <= 2138
+    assert free and not free & set(runs)
+    # 864 in all, one per degree of a quotient; the 1023 degrees of the
+    # relator-free rings run none
+    assert sum(runs.values()) <= 864

@@ -459,13 +459,13 @@ def test_adjoin_reads_no_degree_data_of_a_ground_value(monkeypatch):
     # over the polynomial ring every monomial is standard, and a ground
     # value has d = 0, so the Koszul variable of a relator of huge degree is
     # adjoined without listing the monomials of that degree
-    monomials = Presentation.monomials
+    degree_data = Presentation._degree_data
 
     def bounded(self, d):
         assert d <= 12, d
-        return monomials(self, d)
+        return degree_data(self, d)
 
-    monkeypatch.setattr(Presentation, "monomials", bounded)
+    monkeypatch.setattr(Presentation, "_degree_data", bounded)
     huge = 99999999999999999999
     pres = Presentation(QQ, [("x", 1), ("y", 1)], ["x^%d" % huge, "x*y"],
                         base=ground_xy())

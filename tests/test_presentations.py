@@ -175,7 +175,7 @@ def test_top_degree_reads_no_degree_past_the_first_nonzero_above_cap():
     # y^d never vanishes on k[x, y]/(x^2, x*y): cap 4 reads degrees 1..5
     p = P(["x^2", "x*y"])
     assert p.top_degree(4) is None
-    assert max(key[1] for key in p._cache if key[0] == "qb") == 5
+    assert max(key[1] for key in p._cache if key[0] == "deg") == 5
 
 
 def test_top_degree_reads_no_degree_below_a_variable_above_cap(monkeypatch):
@@ -185,7 +185,7 @@ def test_top_degree_reads_no_degree_below_a_variable_above_cap(monkeypatch):
         raise AssertionError(d)
 
     p = P(["x^2"], variables=[("x", 1), ("y", 10 ** 9)])
-    monkeypatch.setattr(Presentation, "quotient_basis", unread)
+    monkeypatch.setattr(Presentation, "_degree_data", unread)
     assert [p.top_degree(cap) for cap in (0, 4, 10 ** 9 - 1)] == [None] * 3
 
 

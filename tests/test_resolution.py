@@ -22,7 +22,7 @@ from tatelab.resolution import (ResolutionError, build_acyclic_closure,
 
 from conftest import (CATALOG, NONUNIT_Q, SINGLE_INSTANCES, TOP_DEGREES, check_kernel,
                       check_kernels, homology_dim, load_doc, load_pres)
-from oracles import deviations_from_betti
+from oracles import betti_oracle, deviations_from_betti
 from reference import RefElement, coords, ref, word_differential
 
 
@@ -1046,13 +1046,13 @@ def test_builders_read_no_degree_of_a_variable_above_D(monkeypatch, build):
     # whose stage 1 kills x^2 over the polynomial ring, and the closure,
     # whose stage 1 kills y itself, a standard monomial of the ring, read
     # only the degrees through D, as they do without the bound
-    quotient_basis = Presentation.quotient_basis
+    degree_data = Presentation._degree_data
 
     def bounded(self, d):
         assert d <= 8, d
-        return quotient_basis(self, d)
+        return degree_data(self, d)
 
-    monkeypatch.setattr(Presentation, "quotient_basis", bounded)
+    monkeypatch.setattr(Presentation, "_degree_data", bounded)
     pres = P(["x^2"], variables=(("x", 1), ("y", 10 ** 9)))
     capped = build(pres, 4, 8).dump()
     monkeypatch.setattr(Presentation, "top_degree", lambda self, cap: None)
@@ -1149,6 +1149,28 @@ def test_free_coordinate_selection_matches_full_coordinates(monkeypatch, name, b
     monkeypatch.setattr(resolution, "minimal_generators", checked)
     build(_pres(name), N, D)
     assert stages == list(range(1, N))
+
+
+# -- the ground ring's per-degree record ------------------------------------------
+
+@pytest.mark.parametrize("name", ["m2zero_q", "ci_q"])
+def test_towers_leave_one_record_per_degree_of_the_ground(name):
+    # a closure and a model read the ground ring and its polynomial ring
+    # through one (replacement, basis, index) record per degree and the shift
+    # tables; the polynomial ring's monomials are its basis, one tuple
+    doc = load_doc(name)
+    pres = parse_presentation(doc)
+    N, D = 4, 12
+    eps = deviations_from_betti(betti_oracle(doc, N, D), N)
+    closure = build_acyclic_closure(pres, N, D)
+    assert [len(closure.variables_of_hdeg(n)) for n in range(1, N + 1)] == eps
+    model = build_minimal_model(pres, N - 1, D)
+    assert [len(model.variables_of_hdeg(n - 1)) for n in range(2, N + 1)] == eps[1:]
+    ring = pres.polynomial_ring()
+    for p in (pres, ring):
+        kinds = {key[0] for key in p._cache}
+        assert {"deg", "shift"} <= kinds <= {"deg", "shift", "free"}, p
+    assert all(ring.quotient_basis(d) is ring.monomials(d) for d in range(D + 1))
 
 
 # -- canonical scalars over Q ---------------------------------------------------
