@@ -9,6 +9,7 @@
     tatelab model-print --input pres.json
     tatelab audit {rigidity,growth,jacobi-zariski,ci-vanishing} --input inst.json
 
+``parse_args`` reads the command line from the command table below.
 Each command handler takes the parsed arguments and the parsed input and
 returns ``(json_doc, table_lines, exit_code)``; ``table_lines`` is None
 for a command that prints JSON in either format.  ``main`` alone loads
@@ -22,17 +23,17 @@ deterministic: JSON is emitted with sorted keys, and re-emitting a parsed
 report is byte-identical.
 """
 
-import argparse
 import gc
 import json
 import os
 import sys
+import types
 
 from .audits import (build_layer_chain, ci_vanishing_audit, growth_probe,
                      jacobi_zariski_audit, rigidity_audit)
 from .invariants import (ROUTES, aq_ranks, betti_numbers, ci_check,
                          deviations, poincare_from_deviations)
-from .presentations import parse_presentation
+from .presentations import Presentation
 from .resolution import build_acyclic_closure, build_minimal_model
 
 
@@ -55,7 +56,7 @@ def _read_input(args):
     if isinstance(doc, dict) and "tower" in doc:
         raise ValueError("a 'tower' document is read only by audit jacobi-zariski "
                          "and audit ci-vanishing")
-    return parse_presentation(doc)
+    return Presentation.from_json(doc)
 
 
 def _certline(count, D):
@@ -151,7 +152,7 @@ def _cmd_audit(args, doc):
     D = _doc_bound(doc, "D", args.D, 2)
     # a malformed document is reported before a kind mismatch
     tower = "tower" in doc
-    instance = build_layer_chain(doc["tower"]) if tower else parse_presentation(doc)
+    instance = build_layer_chain(doc["tower"]) if tower else Presentation.from_json(doc)
     if tower != (args.kind in ("jacobi-zariski", "ci-vanishing")):
         raise ValueError(AUDITS[args.kind])
     if args.kind == "rigidity":
@@ -185,45 +186,114 @@ COMMANDS = (
 
 # the commands that take --route, with its default
 ROUTE_DEFAULTS = {"deviations": "acyclic-closure", "model-print": None}
+HANDLERS = {name: handler for name, _, handler in COMMANDS}
+HELP = {name: help_text for name, help_text, _ in COMMANDS}
 
 
-def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="tatelab",
-        description="exact homological calculator for graded local rings")
-    subs = ap.add_subparsers(dest="command", required=True)
-    for name, help_text, handler in COMMANDS:
-        sub = subs.add_parser(name, help=help_text)
-        if name == "audit":
-            sub.add_argument("kind", choices=tuple(AUDITS))
-        sub.add_argument("--input", required=True, help="instance JSON file")
-        sub.add_argument("--N", type=int, default=6, help="homological bound (default 6)")
-        sub.add_argument("--D", type=int, default=12, help="internal degree bound (default 12)")
-        if name == "poincare":
-            sub.add_argument("--T", type=int, default=10,
-                             help="series truncation order (default 10)")
-        sub.add_argument("--format", choices=("json", "table"), default="table")
-        if name in ROUTE_DEFAULTS:
-            sub.add_argument("--route", choices=ROUTES, default=ROUTE_DEFAULTS[name])
-        sub.set_defaults(func=handler)
-    return ap
+def _flags(command):
+    """Each flag of one command -> (default, rule, help), where the rule is
+    int, a tuple of the accepted words, or None for the file name."""
+    flags = {"input": (None, None, "instance JSON file (required)"),
+             "N": (6, int, "homological bound"),
+             "D": (12, int, "internal degree bound")}
+    if command == "poincare":
+        flags["T"] = (10, int, "series truncation order")
+    flags["format"] = ("table", ("json", "table"), "output format")
+    if command in ROUTE_DEFAULTS:
+        route = ROUTE_DEFAULTS[command]
+        flags["route"] = (route, ROUTES, "resolution route" if route else
+                          "resolution route (default minimal-model over a declared base)")
+    return flags
+
+
+def parse_args(argv):
+    """The words after ``tatelab`` -> the command's arguments.
+
+    A flag is written ``--name value`` or ``--name=value``, in full, and
+    the last of a repeated flag wins; its value is the next word even when
+    that starts with ``-``.  The audit kind may stand anywhere after the
+    command.  Any usage problem is a ValueError with a one-line message.
+    """
+    if not argv or argv[0] not in HANDLERS:
+        raise ValueError("%s; choose one of %s" % (
+            "unknown command %r" % argv[0] if argv else "missing command",
+            ", ".join(HANDLERS)))
+    command, words = argv[0], iter(argv[1:])
+    flags = _flags(command)
+    args = {name: default for name, (default, _, _) in flags.items()}
+    args.update(command=command, kind=None)
+    for word in words:
+        if not word.startswith("--"):
+            if command != "audit" or args["kind"] is not None:
+                raise ValueError("unexpected argument %r" % word)
+            if word not in AUDITS:
+                raise ValueError("unknown audit kind %r; choose one of %s"
+                                 % (word, ", ".join(AUDITS)))
+            args["kind"] = word
+            continue
+        name, eq, value = word[2:].partition("=")
+        if name not in flags:
+            raise ValueError("%s takes no option --%s" % (command, name))
+        if not eq:
+            value = next(words, None)
+            if value is None:
+                raise ValueError("option --%s needs a value" % name)
+        rule = flags[name][1]
+        if rule is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError("option --%s takes an integer, not %r"
+                                 % (name, value)) from None
+        elif rule is not None and value not in rule:
+            raise ValueError("option --%s takes one of %s, not %r"
+                             % (name, ", ".join(rule), value))
+        args[name] = value
+    if command == "audit" and args["kind"] is None:
+        raise ValueError("audit needs a kind: one of %s" % ", ".join(AUDITS))
+    if args["input"] is None:
+        raise ValueError("%s needs --input FILE" % command)
+    return types.SimpleNamespace(**args)
+
+
+def _help(command):
+    """The help page of one command, or of tatelab for None."""
+    if command is None:
+        rows = list(HELP.items())
+        head = ["usage: tatelab COMMAND --input FILE [options]", "",
+                "exact homological calculator for graded local rings", "",
+                "commands:"]
+        tail = ["", "tatelab COMMAND --help lists the options of one command."]
+    else:
+        kind = "{%s} " % ",".join(AUDITS) if command == "audit" else ""
+        rows = []
+        for name, (default, rule, text) in _flags(command).items():
+            value = ("FILE" if rule is None else "INT" if rule is int
+                     else "{%s}" % ",".join(rule))
+            if default is not None:
+                text = "%s (default %s)" % (text, default)
+            rows.append(("--%s %s" % (name, value), text))
+        rows.append(("-h, --help", "show this help and exit"))
+        head = ["usage: tatelab %s %s--input FILE [options]" % (command, kind), "",
+                HELP[command], "", "options:"]
+        tail = []
+    width = max(len(left) for left, _ in rows)
+    lines = head + ["  %-*s  %s" % (width, left, right) for left, right in rows] + tail
+    return "".join(line + "\n" for line in lines)
 
 
 def main(argv=None):
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_help(argv[0] if argv[0] in HANDLERS else None))
+        return 0
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; 2 is reserved for audit
-        # failures, so usage problems are reported as plain validation
-        # failures instead (--help keeps its success status).
-        return 0 if not exc.code else 1
-    try:
+        args = parse_args(argv)
         if args.N < 2 or args.D < 2:
             raise ValueError("bounds must satisfy N >= 2 and D >= 2")
         if getattr(args, "T", 0) < 0:
             raise ValueError("series truncation T must be >= 0")
-        doc, lines, code = args.func(args, _read_input(args))
+        doc, lines, code = HANDLERS[args.command](args, _read_input(args))
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
@@ -234,27 +304,28 @@ def main(argv=None):
 
 
 def run():
-    """Run ``main`` on the command line and exit the process with its code.
+    """Run ``main`` on the command line and end the process with its code.
 
     The modules imported so far live until the process ends, so they are
     frozen out of the cyclic collector, which would otherwise walk them in
-    every full collection and again at exit.  ``main`` does not freeze:
-    frozen objects are never collected, so a process that calls ``main``
-    many times would freeze, at each call, the reference cycles of the
-    towers that earlier calls left for the collector.  Output that cannot
-    be written is refused on one line, exit code 1.
+    every full collection.  ``main`` does not freeze: frozen objects are
+    never collected, so a process that calls ``main`` many times would
+    freeze, at each call, the reference cycles of the towers that earlier
+    calls left for the collector.  Once stdout and stderr are flushed the
+    process ends with ``os._exit``: the interpreter's teardown would only
+    free every tower object one by one and collect them once more.  Output
+    that cannot be written is refused on one line, exit code 1; nothing
+    flushes the unwritten bytes again.
     """
     gc.freeze()
     try:
         code = main()
         sys.stdout.flush()
     except OSError as exc:
-        # the unwritten bytes stay buffered, and the flush at exit would
-        # fail on them again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: cannot write output: %s" % (exc.strerror or exc), file=sys.stderr)
         code = 1
-    sys.exit(code)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

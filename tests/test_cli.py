@@ -4,6 +4,7 @@ import collections
 import importlib.util
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 from tatelab import cli, linalg
 from tatelab.audits import AuditReport
-from tatelab.cli import COMMANDS, main
+from tatelab.cli import AUDITS, COMMANDS, ROUTE_DEFAULTS, main
 from tatelab.presentations import Presentation
 
 from conftest import CATALOG, load_doc
@@ -457,9 +458,11 @@ def test_bound_violations(capsys):
     assert err == "error: bounds must satisfy N >= 2 and D >= 2\n"
     code, _, err = run(capsys, "betti", "--input", cat("hyp_q"), "--D", "0")
     assert code == 1
-    code, _, err = run(capsys, "poincare", "--input", cat("hyp_q"), "--T", "-1")
-    assert code == 1
-    assert err == "error: series truncation T must be >= 0\n"
+    # a value that starts with "-" is still the flag's value
+    for flag in (["--T", "-1"], ["--T=-1"]):
+        code, _, err = run(capsys, "poincare", "--input", cat("hyp_q"), *flag)
+        assert code == 1
+        assert err == "error: series truncation T must be >= 0\n"
 
 
 def test_usage_errors_exit_one_not_two(capsys):
@@ -473,6 +476,109 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "deviations" in out and "audit" in out
+
+
+COMMAND_NAMES = ", ".join(name for name, _, _ in COMMANDS)
+KINDS = ", ".join(AUDITS)
+USAGE_ERRORS = [
+    ([], "missing command; choose one of " + COMMAND_NAMES),
+    (["no-such-command", "--input", "f"],
+     "unknown command 'no-such-command'; choose one of " + COMMAND_NAMES),
+    (["deviations"], "deviations needs --input FILE"),
+    (["betti", "--input", "f", "--N", "x"], "option --N takes an integer, not 'x'"),
+    (["betti", "--input", "f", "--D", "1.5"], "option --D takes an integer, not '1.5'"),
+    (["poincare", "--input", "f", "--T=ten"], "option --T takes an integer, not 'ten'"),
+    (["betti", "--input", "f", "--format", "xml"],
+     "option --format takes one of json, table, not 'xml'"),
+    (["deviations", "--input", "f", "--route=fast"],
+     "option --route takes one of acyclic-closure, minimal-model, not 'fast'"),
+    (["betti", "--input", "f", "--route", "minimal-model"], "betti takes no option --route"),
+    (["deviations", "--input", "f", "--T", "3"], "deviations takes no option --T"),
+    (["betti", "--input", "f", "--verbose"], "betti takes no option --verbose"),
+    (["betti", "--inp", "f"], "betti takes no option --inp"),
+    (["betti", "--input", "f", "--N"], "option --N needs a value"),
+    (["betti", "extra", "--input", "f"], "unexpected argument 'extra'"),
+    (["audit", "--input", "f"], "audit needs a kind: one of " + KINDS),
+    (["audit", "proof", "--input", "f"],
+     "unknown audit kind 'proof'; choose one of " + KINDS),
+    (["audit", "rigidity", "growth", "--input", "f"], "unexpected argument 'growth'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=[
+    "no-arguments", "unknown-command", "missing-input", "N-not-integer",
+    "D-not-integer", "T-not-integer", "bad-format", "bad-route", "route-on-betti",
+    "T-outside-poincare", "unknown-flag", "abbreviated-flag", "flag-without-value",
+    "extra-argument", "audit-without-kind", "unknown-audit-kind", "second-audit-kind"])
+def test_usage_error_is_one_line(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", "error: %s\n" % message)
+
+
+FIELDS = ("command", "kind", "input", "N", "D", "T", "format", "route")
+PARSED = [
+    (["deviations", "--input", "f"],
+     ("deviations", None, "f", 6, 12, None, "table", "acyclic-closure")),
+    (["deviations", "--route=minimal-model", "--input=f", "--N", "8"],
+     ("deviations", None, "f", 8, 12, None, "table", "minimal-model")),
+    (["ci-check", "--input", "a", "--D=3", "--input", "b", "--D", "4"],
+     ("ci-check", None, "b", 6, 4, None, "table", None)),
+    (["aq-ranks", "--format", "json", "--input", "f", "--format=table"],
+     ("aq-ranks", None, "f", 6, 12, None, "table", None)),
+    (["betti", "--N", "-1", "--input", "-f", "--format=json"],
+     ("betti", None, "-f", -1, 12, None, "json", None)),
+    (["poincare", "--input", "f"], ("poincare", None, "f", 6, 12, 10, "table", None)),
+    (["poincare", "--T", "-1", "--input", "f", "--T=3"],
+     ("poincare", None, "f", 6, 12, 3, "table", None)),
+    (["koszul-h1", "--D", "+7", "--input", "f=g"],
+     ("koszul-h1", None, "f=g", 6, 7, None, "table", None)),
+    (["model-print", "--input", "f"], ("model-print", None, "f", 6, 12, None, "table", None)),
+    (["model-print", "--route", "acyclic-closure", "--input", "f"],
+     ("model-print", None, "f", 6, 12, None, "table", "acyclic-closure")),
+    (["audit", "rigidity", "--input", "f"],
+     ("audit", "rigidity", "f", 6, 12, None, "table", None)),
+    (["audit", "--input", "f", "--N", "3", "growth"],
+     ("audit", "growth", "f", 3, 12, None, "table", None)),
+    (["audit", "--format=json", "ci-vanishing", "--input", "f"],
+     ("audit", "ci-vanishing", "f", 6, 12, None, "json", None)),
+    (["audit", "--input", "f", "jacobi-zariski"],
+     ("audit", "jacobi-zariski", "f", 6, 12, None, "table", None)),
+]
+
+
+@pytest.mark.parametrize("argv, want", PARSED, ids=[" ".join(a) for a, _ in PARSED])
+def test_parser_contract(argv, want):
+    # both flag spellings, the last of a repeated flag, values that start
+    # with "-", and the audit kind before, between or after the flags
+    args = cli.parse_args(argv)
+    assert tuple(getattr(args, field, None) for field in FIELDS) == want
+
+
+@pytest.mark.parametrize("name, help_text", [(n, h) for n, h, _ in COMMANDS],
+                         ids=[n for n, _, _ in COMMANDS])
+def test_help_comes_from_the_command_table(capsys, name, help_text):
+    # tatelab --help lists every command with its help text; the command's
+    # page lists exactly its flags, defaults and choices, and -h or --help
+    # anywhere prints it, whatever else the line holds
+    code, top, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert re.search(r"^  %s +%s$" % (re.escape(name), re.escape(help_text)), top, re.M)
+    code, page, err = run(capsys, name, "--help")
+    assert (code, err) == (0, "")
+    assert help_text in page
+    for argv in ([name, "-h"], [name, "--N", "x", "--help", "--bogus"],
+                 [name, "--input", "f", "extra", "-h"]):
+        assert run(capsys, *argv) == (0, page, "")
+    flags = {"--input", "--N", "--D", "--format", "--help"}
+    if name == "poincare":
+        flags.add("--T")
+        assert "(default 10)" in page
+    if name in ROUTE_DEFAULTS:
+        flags.add("--route")
+        assert "{acyclic-closure,minimal-model}" in page
+    assert set(re.findall(r"--\w+", page)) == flags
+    assert "(default 6)" in page and "(default 12)" in page
+    assert "{json,table}" in page and "(default table)" in page
+    assert [kind in page for kind in AUDITS] == [name == "audit"] * len(AUDITS)
 
 
 def test_audit_kind_must_match_instance_shape(tmp_path, capsys):
@@ -533,6 +639,30 @@ def test_run_freezes_before_main_and_exits_with_its_code():
             "cli.run()\n")
     proc = _process(["-c", stub], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "True\n", "")
+
+
+def test_cli_imports_neither_argparse_nor_gettext():
+    probe = "import sys, tatelab.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    proc = _process(["-c", probe], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_run_flushes_everything_before_it_ends_the_process():
+    # run() ends the process with os._exit, which flushes nothing itself:
+    # buffered stdout and a stderr line without its newline must come out
+    stub = ("import sys\n"
+            "from tatelab import cli\n"
+            "def main():\n"
+            "    sys.stdout.write('x' * 999999 + 'y')\n"
+            "    sys.stderr.write('one line')\n"
+            "    return 3\n"
+            "cli.main = main\n"
+            "cli.run()\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = _process(["-c", stub], env=env, capture_output=True)
+    assert proc.returncode == 3
+    assert proc.stdout == b"x" * 999999 + b"y"
+    assert proc.stderr == b"one line"
 
 
 @pytest.mark.parametrize("argv, code", [
