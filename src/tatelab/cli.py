@@ -240,11 +240,10 @@ def parse_args(argv):
                 raise ValueError("option --%s needs a value" % name)
         rule = flags[name][1]
         if rule is int:
-            try:
-                value = int(value)
-            except ValueError:
-                raise ValueError("option --%s takes an integer, not %r"
-                                 % (name, value)) from None
+            digits = value[1:] if value[:1] in ("+", "-") else value
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError("option --%s takes an integer, not %r" % (name, value))
+            value = int(value)
         elif rule is not None and value not in rule:
             raise ValueError("option --%s takes one of %s, not %r"
                              % (name, ", ".join(rule), value))

@@ -33,79 +33,40 @@ class PresentationError(ValueError):
     pass
 
 
-_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-|\S")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
+# an optional sign, then factors joined by *, + or -; a factor is an ASCII
+# integer or a variable with an optional exponent >= 1, and whitespace
+# stands only next to an operator or at either end
+_POLYNOMIAL = re.compile(r"\s*(?:[+-]\s*)?{0}(?:\s*[*+-]\s*{0})*\s*".format(
+    r"(?:[0-9]+|[A-Za-z_][A-Za-z_0-9]*(?:\s*\^\s*0*[1-9][0-9]*)?)"))
 
 
 def parse_polynomial(text, names):
     """Parse '3*x^2*y - y^3' into {exponent tuple: int coefficient}.
 
-    Grammar: signed terms joined by + or -; a term is integer and
-    variable-power factors joined by *; exponents are positive integers.
+    A term is integer and variable-power factors joined by *, and the
+    terms are joined by + or -; ``_POLYNOMIAL`` is the whole grammar.
     """
     if not isinstance(text, str) or not text.strip():
         raise PresentationError("empty polynomial")
+    if not _POLYNOMIAL.fullmatch(text):
+        raise PresentationError("cannot parse %r: expected integers and variable "
+                                "powers joined by *, + and -" % (text,))
     index = {nm: i for i, nm in enumerate(names)}
-    toks = _TOKEN.findall(text)
-    pos = 0
-
-    def peek():
-        return toks[pos] if pos < len(toks) else None
-
-    def fail(msg):
-        raise PresentationError("cannot parse %r: %s" % (text, msg))
-
     poly = {}
-    sign = 1
-    first = True
-    while pos < len(toks):
-        # optional leading sign / mandatory separator between terms
-        t = peek()
-        if t == "+" or t == "-":
-            sign = -1 if t == "-" else 1
-            pos += 1
-        elif not first:
-            fail("expected '+' or '-' before %r" % t)
-        else:
-            sign = 1
-        first = False
-        # one term: factors joined by '*'
-        coeff = sign
-        expo = [0] * len(names)
-        nfactors = 0
-        while True:
-            t = peek()
-            if t is None:
-                break
-            if t.isdigit():
-                coeff *= int(t)
-                pos += 1
-            elif _NAME.match(t):
-                if t not in index:
-                    fail("unknown variable %r" % t)
-                pos += 1
-                e = 1
-                if peek() == "^":
-                    pos += 1
-                    u = peek()
-                    if u is None or not u.isdigit():
-                        fail("expected integer exponent after '^'")
-                    e = int(u)
-                    if e < 1:
-                        fail("exponent must be >= 1")
-                    pos += 1
-                expo[index[t]] += e
+    # dropping the whitespace joins no tokens, and each '-' becomes the
+    # factor -1 of the term it starts
+    for term in "".join(text.split()).replace("-", "+-1*").lstrip("+").split("+"):
+        coeff, expo = 1, [0] * len(names)
+        for factor in term.split("*"):
+            name, _, e = factor.partition("^")
+            if not _NAME.match(name):
+                coeff *= int(name)
+            elif name in index:
+                expo[index[name]] += int(e or 1)
             else:
-                fail("unexpected token %r" % t)
-            nfactors += 1
-            if peek() == "*":
-                pos += 1
-                if peek() is None or peek() in ("+", "-", "*", "^"):
-                    fail("dangling '*'")
-                continue
-            break
-        if nfactors == 0:
-            fail("empty term")
+                raise PresentationError("cannot parse %r: unknown variable %r"
+                                        % (text, name))
         mono = tuple(expo)
         c = poly.get(mono, 0) + coeff
         if c:
@@ -113,18 +74,6 @@ def parse_polynomial(text, names):
         else:
             poly.pop(mono, None)
     return poly
-
-
-def parse_variables(entries):
-    """JSON variable entries [{"name": .., "degree": ..}] -> [(name, degree)]."""
-    if not isinstance(entries, list):
-        raise PresentationError("'variables' must be a list")
-    variables = []
-    for v in entries:
-        if not isinstance(v, dict) or "name" not in v or "degree" not in v:
-            raise PresentationError("variable entries need 'name' and 'degree'")
-        variables.append((v["name"], v["degree"]))
-    return variables
 
 
 def _monomials(weights, d):
@@ -227,11 +176,16 @@ class Presentation:
         for key in ("relators", "base_relators"):
             if doc.get(key) is not None and not isinstance(doc[key], list):
                 raise PresentationError("%r must be a list" % key)
-            # a JSON object would reach the internal {mono: coeff} path
-            if any(isinstance(f, dict) for f in doc.get(key) or ()):
+            if not all(isinstance(f, str) for f in doc.get(key) or ()):
                 raise PresentationError("%r must list polynomial strings" % key)
         field = field_from_spec(doc["field"])
-        variables = parse_variables(doc["variables"])
+        entries = doc["variables"]
+        if not isinstance(entries, list):
+            raise PresentationError("'variables' must be a list")
+        if not all(isinstance(v, dict) and "name" in v and "degree" in v
+                   for v in entries):
+            raise PresentationError("variable entries need 'name' and 'degree'")
+        variables = [(v["name"], v["degree"]) for v in entries]
         if doc.get("base_relators") is not None:
             declared = cls(field, variables, doc["base_relators"])
             if base is None:

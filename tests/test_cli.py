@@ -302,12 +302,13 @@ XY = [{"name": "x", "degree": 1}, {"name": "y", "degree": 1}]
     ("x^2", None, "'relators' must be a list"),
     ("x^2", [], "'relators' must be a list"),
     (["x^2"], "x^2", "'base_relators' must be a list"),
-    ([5], [], "empty polynomial"),
+    ([5], [], "'relators' must list polynomial strings"),
     (None, [], "'relators' must be a list"),
     ([{"x": 1}], [], "'relators' must list polynomial strings"),
     (["x^2"], [{"x": 1}], "'base_relators' must list polynomial strings"),
+    (["x^\u0662"], [], "cannot parse 'x^\u0662'"),
 ], ids=["plain", "over-base", "base-string", "non-string-over-base",
-        "null-over-base", "json-object", "base-json-object"])
+        "null-over-base", "json-object", "base-json-object", "non-ascii-digit"])
 def test_malformed_relators_rejected(tmp_path, capsys, relators,
                                      base_relators, message):
     doc = {"field": {"type": "Q"}, "variables": XY, "relators": relators,
@@ -344,8 +345,9 @@ def test_terms_that_vanish_in_the_field_are_dropped(tmp_path, capsys, relators,
     ([["z^2"]], "'witness' must be a list of polynomial strings"),
     ("z^2", "'witness' must be a list of polynomial strings"),
     (["z^"], "cannot parse 'z^'"),
+    (["z^\u0662"], "cannot parse 'z^\u0662'"),
 ], ids=["number", "number-entry", "object-entry", "list-entry", "string",
-        "unparsable-entry"])
+        "unparsable-entry", "non-ascii-digit"])
 def test_malformed_witness_rejected(tmp_path, capsys, witness, message):
     with open(cat("tower_jz_q")) as fh:
         doc = json.load(fh)
@@ -488,6 +490,9 @@ USAGE_ERRORS = [
     (["betti", "--input", "f", "--N", "x"], "option --N takes an integer, not 'x'"),
     (["betti", "--input", "f", "--D", "1.5"], "option --D takes an integer, not '1.5'"),
     (["poincare", "--input", "f", "--T=ten"], "option --T takes an integer, not 'ten'"),
+    (["betti", "--input", "f", "--N", "\u0663"], "option --N takes an integer, not '\u0663'"),
+    (["betti", "--input", "f", "--N", "1_0"], "option --N takes an integer, not '1_0'"),
+    (["betti", "--input", "f", "--N", " 7"], "option --N takes an integer, not ' 7'"),
     (["betti", "--input", "f", "--format", "xml"],
      "option --format takes one of json, table, not 'xml'"),
     (["deviations", "--input", "f", "--route=fast"],
@@ -507,7 +512,8 @@ USAGE_ERRORS = [
 
 @pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=[
     "no-arguments", "unknown-command", "missing-input", "N-not-integer",
-    "D-not-integer", "T-not-integer", "bad-format", "bad-route", "route-on-betti",
+    "D-not-integer", "T-not-integer", "N-non-ascii-digit", "N-underscore",
+    "N-leading-space", "bad-format", "bad-route", "route-on-betti",
     "T-outside-poincare", "unknown-flag", "abbreviated-flag", "flag-without-value",
     "extra-argument", "audit-without-kind", "unknown-audit-kind", "second-audit-kind"])
 def test_usage_error_is_one_line(capsys, argv, message):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from tatelab.audits import build_layer_chain
 from tatelab.fields import PrimeField, QQ
@@ -8,7 +10,7 @@ from tatelab.presentations import (Presentation, PresentationError,
                                    parse_polynomial, parse_presentation)
 
 from conftest import (NONUNIT_Q, SINGLE_INSTANCES, TOP_DEGREES, TOWER_INSTANCES,
-                      check_top_degree, load_doc)
+                      check_top_degree, load_doc, load_pres)
 from reference import multiply
 
 VARS_XY = [("x", 1), ("y", 1)]
@@ -33,10 +35,71 @@ def test_parse_polynomial_cancellation():
     assert parse_polynomial("x^2 - x^2 + y^2", ("x", "y")) == {(0, 2): 1}
 
 
-@pytest.mark.parametrize("bad", ["", "x + ", "z^2", "x^-1", "x^0*", "2*"])
+@pytest.mark.parametrize("bad", ["", "x + ", "z^2", "x^-1", "x^0*", "2*",
+                                 "x^\u0662", "x^\u00b2", "\u0663*x^2"])
 def test_parse_polynomial_rejects(bad):
     with pytest.raises(PresentationError):
         parse_polynomial(bad, ("x", "y"))
+
+
+@st.composite
+def drawn_polynomials(draw):
+    """(names, text, dict): signed terms of ASCII coefficients and variable
+    powers over drawn names, factors in any order and whitespace drawn
+    between tokens; the dict sums like terms and drops zero sums."""
+    names = draw(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z_0-9]{0,2}", fullmatch=True),
+                          min_size=1, max_size=3, unique=True))
+    tokens, want = [], {}
+    for i in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from(["+", "-"] if i else ["", "+", "-"]))
+        coeff = draw(st.none() | st.integers(0, 20))
+        expo = tuple(draw(st.lists(st.integers(0, 3), min_size=len(names),
+                                   max_size=len(names))))
+        factors = [[str(coeff)]] if coeff is not None else []
+        for nm, e in zip(names, expo):
+            if e:
+                factors.append([nm, "^", str(e)] if e > 1 or draw(st.booleans()) else [nm])
+        tokens += [sign] if sign else []
+        for j, factor in enumerate(draw(st.permutations(factors or [["1"]]))):
+            tokens += ["*"] + factor if j else factor
+        c = (-1 if sign == "-" else 1) * (1 if coeff is None else coeff)
+        want[expo] = want.get(expo, 0) + c
+    space = st.sampled_from(["", "", " ", "\t", "  "])
+    text = "".join(draw(space) + t for t in tokens) + draw(space)
+    return names, text, {m: c for m, c in want.items() if c}
+
+
+@pytest.fixture(scope="module")
+def catalog_rings():
+    """Every catalog ring, tower layers included."""
+    return [load_pres(name) for name in SINGLE_INSTANCES] + [
+        pres for name in TOWER_INSTANCES
+        for pres in build_layer_chain(load_doc(name)["tower"])]
+
+
+# non-ASCII decimal digits, superscripts and the characters of the grammar
+NOISE = st.text(st.sampled_from("xyz_0129\u0662\u0663\u00b2\u00b3 \t+-*^("), max_size=16)
+
+
+@seed(20261021)
+@settings(max_examples=200, deadline=None, database=None)
+@given(drawn=drawn_polynomials(), noise=NOISE)
+def test_parse_polynomial_grammar(catalog_rings, drawn, noise):
+    names, text, want = drawn
+    # (a) a drawn polynomial parses to the dict it was built from
+    assert parse_polynomial(text, names) == want
+    # (b) the printed form of the drawn polynomial and of every catalog
+    # relator parses back to the same dict
+    ring = Presentation(QQ, [(nm, 1) for nm in names], ())
+    assert parse_polynomial(ring.poly_str(want), names) == want
+    for pres in catalog_rings:
+        for f in pres.relators:
+            assert parse_polynomial(pres.poly_str(f), pres.names) == f
+    # (c) any string is a dict or a PresentationError, never another error
+    try:
+        assert isinstance(parse_polynomial(noise, ("x", "y", "z")), dict)
+    except PresentationError:
+        pass
 
 
 # -- validation -------------------------------------------------------------
