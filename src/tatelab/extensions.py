@@ -40,9 +40,10 @@ Conventions fixed once and for all:
     one differential route reads d(s*X), s standard of degree b, off
     d(1*X), the only word differential cached: a term c*m*x of d(1*X)
     adds c times row s of the shift table of (m, b) at the words of
-    pattern x (``_shifted``).  ``columns`` fills each block that way, and
-    ``adjoin`` checks that a differential value is a cycle by summing the
-    same rows over its terms;
+    pattern x (``_shifted``).  ``columns`` fills each block that way but
+    a unit block (b = 0), whose one column is d(1*X) placed as it stands,
+    and ``adjoin`` checks that a differential value is a cycle by summing
+    the same rows over its terms;
   * ``kernel(n, d)`` keeps the free columns of the kernel it takes, and
     the kernel out of (n + 1, d), which takes it first when it is not
     kept, eliminates only its rows there, or none when those rows decide
@@ -53,7 +54,7 @@ Words are pairs (mono, ext) with mono a standard ground monomial and ext
 a tuple of (variable index, exponent) pairs sorted by index.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import chain
 from math import comb
 from operator import attrgetter, itemgetter
@@ -151,6 +152,7 @@ class ExtensionTower:
         # zero, so the shifts of distinct monomials never merge
         self._merges = any(len(f) > 1 for f in ground.relators)
         self._cache = {}
+        self._swept = None
         self._dwords = {}
 
     # -- construction ---------------------------------------------------
@@ -204,16 +206,29 @@ class ExtensionTower:
         # keeps its target (n - 1, d).  The patterns of degree n built from
         # variables of degree < n, keyed (n - 1, cap), gain it only for
         # n > h.  It adds only boundaries to H_{h-1}, so the record that
-        # H_n = 0 in degree d, keyed (n, d), goes only for n >= h.
-        for key in [k for k in self._cache if k[1] >= hdeg and k[2] >= ideg]:
-            del self._cache[key]
+        # H_n = 0 in degree d, keyed (n, d), goes only for n >= h.  The
+        # builders adjoin a degree's generators back to back: when nothing
+        # was recorded since a drop at a bidegree <= (h, i), every key left
+        # has n < h or d < i, and the cache is not scanned again.
+        swept = self._swept
+        if swept is None or swept[0] > hdeg or swept[1] > ideg:
+            for key in [k for k in self._cache if k[1] >= hdeg and k[2] >= ideg]:
+                del self._cache[key]
+        self._swept = (hdeg, ideg)
         return var
+
+    def _record(self, key, value):
+        """Cache value under key; the next ``adjoin`` scans the cache."""
+        self._cache[key] = value
+        self._swept = None
+        return value
 
     def mark_acyclic(self, n, D):
         """Record that H_n = 0 in internal degrees 0..D, one ("acyclic", n,
         d) record per degree, which ``kernel`` reads; ``adjoin`` drops the
         record of degree d with a variable of bidegree <= (n, d)."""
         self._cache.update((("acyclic", n, d), True) for d in range(D + 1))
+        self._swept = None
 
     def ground_element(self, elem):
         """Reduced ground element {mono: scalar} -> degree-zero tower element."""
@@ -236,44 +251,39 @@ class ExtensionTower:
         None when the parts share an odd variable, whose square is zero.
 
         The coefficient is the Koszul sign, an odd factor of e2 moving past
-        the odd factors of e1 still unmerged, times binom(a + b, a) for each
-        divided-power variable v^(a) * v^(b); a polynomial v^a * v^b adds
-        nothing.  An empty part is the unit.
+        the odd factors of e1 of higher index, times binom(a + b, a) for
+        each divided-power variable v^(a) * v^(b); a polynomial v^a * v^b
+        adds nothing.  An empty part is the unit.  Each factor of e2 is
+        placed by bisection, so only the factors of e1 an odd factor
+        passes are read one by one.
         """
         if not e1:
             return e2, 1
         if not e2:
             return e1, 1
         vs = self.variables
-        odd1 = sum(vs[idx].odd for idx, _ in e1)
-        out = []
+        out = list(e1)
         coeff = 1
         crossings = 0
-        i = j = 0
-        while i < len(e1) and j < len(e2):
-            idx1 = e1[i][0]
-            idx2, ex2 = e2[j]
-            if idx1 < idx2:
-                odd1 -= vs[idx1].odd
-                out.append(e1[i])
-                i += 1
-            elif idx1 > idx2:
-                if vs[idx2].odd:
-                    crossings += odd1
-                out.append(e2[j])
-                j += 1
-            else:
-                v = vs[idx1]
+        pos = 0
+        for factor in e2:
+            idx, b = factor
+            v = vs[idx]
+            # every factor at pos or after comes from e1: e2 ascends
+            pos = bisect_left(out, (idx,), pos)
+            if pos < len(out) and out[pos][0] == idx:
                 if v.odd:
                     return None
-                a = e1[i][1]
+                a = out[pos][1]
                 if v.flavor == DIVIDED:
-                    coeff *= comb(a + ex2, a)
-                out.append((idx1, a + ex2))
-                i += 1
-                j += 1
-        out.extend(e1[i:])
-        out.extend(e2[j:])
+                    coeff *= comb(a + b, a)
+                out[pos] = (idx, a + b)
+            else:
+                if v.odd:
+                    for i, _ in out[pos:]:
+                        crossings += vs[i].odd
+                out.insert(pos, factor)
+            pos += 1
         return tuple(out), -coeff if crossings % 2 else coeff
 
     def _pure_differential(self, ext):
@@ -285,6 +295,12 @@ class ExtensionTower:
         and v^(e-1) are plain, unsigned suffixes, and since a has monomial 1
         and every term c * m * x of d(v) is standard, a * (m * x) is
         m * ``_merge``(a, x): extension parts alone are multiplied.
+
+        No two terms share a word, so the terms are written straight into
+        one dict: those of d(a) * v^e end in v^e and those of a * d(v) *
+        v^(e-1) in v^(e-1) or in no v, and since exponents add injectively
+        ``_merge``(a, x) determines x.  Only a scalar that is zero in the
+        field is dropped: k = e, or a divided-power binomial, divisible by p.
         """
         key = (self._unit, ext)
         terms = self._dwords.get(key)
@@ -292,19 +308,24 @@ class ExtensionTower:
             return terms
         if not ext:
             return {}
-        f = self.field
         left, last = ext[:-1], ext[-1]
         idx, e = last
-        v = self.variables[idx]
+        vs = self.variables
+        v = vs[idx]
         terms = {(m, x + (last,)): c for (m, x), c in self._pure_differential(left).items()}
         k = e if v.flavor == POLYNOMIAL else 1
-        if sum(self.variables[i].hdeg * n for i, n in left) % 2:
-            k = -k
+        for i, _ in left:  # |a| is odd when a has an odd number of odd factors
+            if vs[i].odd:
+                k = -k
         rest = ((idx, e - 1),) if e > 1 else ()
-        merge, from_int, mul = self._merge, f.from_int, f.mul
-        products = (((m, p[0] + rest), mul(from_int(k * p[1]), c))
-                    for (m, x), c in v.dval.terms.items() if (p := merge(left, x)) is not None)
-        self._dwords[key] = linalg.add_into(terms, products, f)
+        f = self.field
+        for (m, x), c in v.dval.terms.items():
+            p = self._merge(left, x)
+            if p is not None:
+                s = f.mul(f.from_int(k * p[1]), c)
+                if not f.is_zero(s):
+                    terms[(m, p[0] + rest)] = s
+        self._dwords[key] = terms
         return terms
 
     def _shifted(self, ext, b, place):
@@ -365,7 +386,7 @@ class ExtensionTower:
         pkey = ("patterns", n - 1, self.dmax)
         patterns = self._cache.get(pkey)
         if patterns is None:
-            patterns = self._cache[pkey] = self._patterns(n, self.dmax)
+            patterns = self._record(pkey, self._patterns(n, self.dmax))
         lo, hi = (bisect_right(self.variables, h, key=attrgetter("hdeg")) for h in (n - 1, n))
         lone = ((((v.index, 1),), v.ideg) for v in reversed(self.variables[lo:hi]))
         widths = [len(self.ground.quotient_basis(b)) for b in range(d + 1)]
@@ -375,9 +396,7 @@ class ExtensionTower:
             if i <= d and (width := widths[d - i]):
                 blocks.append((ext, d - i, size))
                 size += width
-        layout = (tuple(blocks), {ext: off for ext, _, off in blocks}, size)
-        self._cache[key] = layout
-        return layout
+        return self._record(key, (tuple(blocks), {ext: off for ext, _, off in blocks}, size))
 
     def _patterns(self, n, cap):
         """Extension patterns of homological degree n and internal degree
@@ -389,23 +408,24 @@ class ExtensionTower:
         variables = self.variables
         hdegs = [v.hdeg for v in variables if v.hdeg < n]
 
-        def rec(i, h, dd, acc):
+        def rec(i, h, dd, head):
             # the next factor is v_j^e for some j >= i with hdeg <= h (hdeg
             # weakly increases); patterns that skip v_j come before patterns
-            # that use it, so j runs down, and the depth is the factor count
+            # that use it, so j runs down, and the depth is the factor count.
+            # hh and rest are what v_j^e leaves of h and dd
             for j in range(bisect_right(hdegs, h) - 1, i - 1, -1):
                 v = variables[j]
                 top = 1 if v.flavor == EXTERIOR else h // v.hdeg
-                for e in range(1, min(top, dd // v.ideg) + 1):
-                    acc.append((j, e))
-                    hh, rest = h - e * v.hdeg, dd - e * v.ideg
+                e, hh, rest = 1, h - v.hdeg, dd - v.ideg
+                while e <= top and rest >= 0:
+                    ext = head + ((j, e),)
                     if hh:
-                        rec(j + 1, hh, rest, acc)
+                        rec(j + 1, hh, rest, ext)
                     else:
-                        out.append((tuple(acc), cap - rest))
-                    acc.pop()
+                        out.append((ext, cap - rest))
+                    e, hh, rest = e + 1, hh - v.hdeg, rest - v.ideg
 
-        rec(0, n, cap, [])
+        rec(0, n, cap, ())
         return tuple(out)
 
     def piece(self, n, d):
@@ -431,13 +451,24 @@ class ExtensionTower:
         d(1 * ext) adds c times row s of the shift table of (m, b) into
         target block x (``_shifted``).  A target block is missing only where
         its degree has no standard monomials, and then every row is empty.
-        Sums are taken only where a reduction can merge two products.
+        The one column of a unit block (b = 0, s = 1) is d(1 * ext) itself,
+        each term c * m * x placed at the word m * x, with no shift table.
+        Sums are taken only where two shifts can merge: b > 0 over a ground
+        whose relators are not all monomials.
         """
         blocks = self._layout(n, d)[0]
         offset = self._layout(n - 1, d)[1].get
-        f = self.field
-        widths = [range(len(self.ground.quotient_basis(b))) for b in range(d + 1)]
+        f, ground = self.field, self.ground
+        widths = [range(len(ground.quotient_basis(b))) for b in range(d + 1)]
+        where = {}  # each standard monomial of degree <= d: its index in its degree
         for ext, b, _ in blocks:
+            if not b:
+                if not where:  # filled at the first unit block
+                    for deg in range(d + 1):
+                        where.update(ground.basis_index(deg))
+                yield {off + where[m]: c for (m, x), c in self._pure_differential(ext).items()
+                       if (off := offset(x)) is not None}
+                continue
             terms = self._shifted(ext, b, offset)
             if self._merges:
                 for i in widths[b]:
@@ -484,7 +515,7 @@ class ExtensionTower:
         else:
             cols, nrows = self.matrix(n, d)
             kernel = linalg.Kernel(cols, nrows, self.field, rows)
-        self._cache[("free", n, d)] = kernel.free
+        self._record(("free", n, d), kernel.free)
         return kernel
 
     def solved(self, n, d):

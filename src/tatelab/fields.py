@@ -9,8 +9,10 @@ the linear algebra and ring layers stay field-agnostic.
 
 Each field also fixes the row form that ``linalg`` eliminates in: a
 nonzero scalar multiple of a sparse field vector, chosen so that one
-elimination step is cheap.  ``to_row`` maps a field vector into it,
-``eliminate`` clears one coordinate, ``pivot_row`` normalises a row
+elimination step is cheap.  ``to_row`` maps a field vector into it, as
+a new dict the caller owns; ``eliminate`` clears one coordinate of such
+a row, over F_p by rewriting the row itself and over Q into a new
+primitive row, and returns the result; ``pivot_row`` normalises a row
 before it is stored as a pivot, and ``from_row`` gives back the field
 vector scaled to lead coefficient 1.
 """
@@ -194,21 +196,23 @@ class PrimeField:
         return dict(v)
 
     def eliminate(self, out, row, j):
-        """out - out[j]*row, for a row with row[j] == 1."""
+        """out - out[j]*row, for a row with row[j] == 1, written into out
+        itself and returned: the caller hands over a row it owns."""
         p = self.p
         c = -out[j] % p
-        new = dict(out)
         for k, x in row.items():
-            s = (new.get(k, 0) + c * x) % p
+            s = (out.get(k, 0) + c * x) % p
             if s:
-                new[k] = s
+                out[k] = s
             else:
-                del new[k]
-        return new
+                del out[k]
+        return out
 
     def pivot_row(self, row, j):
+        # a new dict either way: ``eliminate`` rewrote row in place, and its
+        # table may be sized for a longer row than the one it now holds
         if row[j] == 1:
-            return row
+            return dict(row)
         p = self.p
         inv = pow(row[j], p - 2, p)
         return {k: c * inv % p for k, c in row.items()}

@@ -49,23 +49,25 @@ class Echelon:
         self.rows = {}  # lead index -> row, in row form
 
     def reduce(self, v):
+        """(v reduced against the stored rows, in row form, and its lead
+        index): an empty row and None when v lies in the span.  ``to_row``
+        gives a row of its own, which each elimination may rewrite in
+        place; the stored rows are only read."""
         field, rows = self.field, self.rows
         out = field.to_row(v)
         while out:
             j = min(out)
             row = rows.get(j)
             if row is None:
-                return out
+                return out, j
             out = field.eliminate(out, row, j)
-        return out
+        return out, None
 
     def add(self, v):
         """Insert v if independent; return its lead index, else None."""
-        r = self.reduce(v)
-        if not r:
-            return None
-        j = min(r)
-        self.rows[j] = self.field.pivot_row(r, j)
+        r, j = self.reduce(v)
+        if j is not None:
+            self.rows[j] = self.field.pivot_row(r, j)
         return j
 
 
@@ -101,7 +103,7 @@ def rref(vectors, field):
     pivots = sorted(ech.rows)
     reduced = {}
     for j in reversed(pivots):
-        row = ech.rows[j]
+        row = dict(ech.rows[j])  # eliminate may rewrite the row it is handed
         for k in sorted(row):
             if k != j and k in reduced:
                 row = field.eliminate(row, reduced[k], k)

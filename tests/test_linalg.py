@@ -4,6 +4,7 @@ Random matrices get cross-checked against dense rank/kernel facts
 computed with Fraction arithmetic — same math, different code path.
 """
 
+import copy
 import random
 from fractions import Fraction
 
@@ -60,8 +61,8 @@ def test_echelon_rank_counts_independent_vectors():
     # dependent: (1,2,3) + 2*(0,1,1) = (1,4,5)
     assert ech.add(from_dense([1, 4, 5], QQ)) is None
     assert len(ech.rows) == 2
-    assert not ech.reduce(from_dense([2, 4, 6], QQ))
-    assert ech.reduce(from_dense([0, 0, 1], QQ))
+    assert ech.reduce(from_dense([2, 4, 6], QQ)) == ({}, None)
+    assert ech.reduce(from_dense([0, 0, 1], QQ)) == ({2: 1}, 2)
 
 
 def test_rref_canonical_form():
@@ -387,3 +388,41 @@ def test_complement_stops_once_the_span_is_full(field):
     # no free index: nothing to pick and nothing read
     assert complement([], vectors(), field) == []
     assert complement([], [], field) == []
+
+
+# -- elimination writes only the rows it owns -----------------------------------
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=str)
+def test_elimination_leaves_inputs_and_stored_rows_as_they_were(field):
+    # an elimination step may rewrite the row it is handed, so every caller
+    # hands over a row of its own: the vectors it is given, the columns of a
+    # kernel and the pivots an echelon keeps stay as they were
+    rng = random.Random(20261020)
+    eliminated = 0
+    for _ in range(200):
+        cols, nrows = _random_sparse_cols(rng, field)
+        vectors = cols + [dict(c) for c in cols[:2]]  # repeats reduce to zero
+        given = copy.deepcopy(vectors)
+        ech = Echelon(field)
+        for v in vectors:
+            stored = copy.deepcopy(ech.rows)
+            ech.add(v)
+            assert all(ech.rows[j] == row for j, row in stored.items())
+        assert vectors == given
+        eliminated += len(vectors) - len(ech.rows)
+
+        kernel = Kernel(vectors, nrows, field)
+        stored = copy.deepcopy(kernel.rows)
+        basis = [kernel.vector(f) for f in kernel.free]
+        assert vectors == given and kernel.rows == stored
+        assert basis == solve_cols(given, nrows, field)
+
+        pivots, rows = rref(vectors, field)
+        assert vectors == given
+        assert rref(given, field) == (pivots, rows)
+
+        free, _, spanning = draw_free_space(rng, field)
+        spanned = copy.deepcopy(spanning)
+        complement(free, spanning, field)
+        assert spanning == spanned
+    assert eliminated > 200
