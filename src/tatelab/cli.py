@@ -307,16 +307,22 @@ def run():
 
     The modules imported so far live until the process ends, so they are
     frozen out of the cyclic collector, which would otherwise walk them in
-    every full collection.  ``main`` does not freeze: frozen objects are
-    never collected, so a process that calls ``main`` many times would
-    freeze, at each call, the reference cycles of the towers that earlier
-    calls left for the collector.  Once stdout and stderr are flushed the
-    process ends with ``os._exit``: the interpreter's teardown would only
-    free every tower object one by one and collect them once more.  Output
-    that cannot be written is refused on one line, exit code 1; nothing
-    flushes the unwritten bytes again.
+    every full collection, and the collector is then switched off.  The
+    reference cycles a command makes are its towers (an element refers to
+    its tower, the tower to its variables, a variable to its differential),
+    which live until the process ends, and a few small ones that only the
+    collector could free before it: the recursive enumerator of each
+    ``ExtensionTower._patterns`` call and the odd tower a command drops.
+    ``main`` neither freezes nor disables: a process that calls it many
+    times would keep, at each call, the towers that earlier calls left for
+    the collector.  Once stdout and stderr are flushed the process ends
+    with ``os._exit``: the interpreter's teardown would only free every
+    tower object one by one and collect them once more.  Output that
+    cannot be written is refused on one line, exit code 1; nothing flushes
+    the unwritten bytes again.
     """
     gc.freeze()
+    gc.disable()
     try:
         code = main()
         sys.stdout.flush()

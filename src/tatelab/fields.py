@@ -4,8 +4,11 @@ All arithmetic is exact -- no floats anywhere in the engine.  Field
 elements are plain Python values: over Q an ``int`` when the rational is
 integral and a ``Fraction`` only when its denominator is not 1, so the
 integer data the towers almost always carry never allocates one; over F_p
-an ``int`` in ``range(p)``.  The field object supplies the operations, so
-the linear algebra and ring layers stay field-agnostic.
+an ``int`` in ``range(p)``.  ``fractions`` (and with it ``decimal`` and
+``numbers``) is imported on the first non-integral rational, so a command
+whose rationals are all integral never loads it.  The field object
+supplies the operations, so the linear algebra and ring layers stay
+field-agnostic.
 
 Each field also fixes the row form that ``linalg`` eliminates in: a
 nonzero scalar multiple of a sparse field vector, chosen so that one
@@ -17,7 +20,6 @@ before it is stored as a pivot, and ``from_row`` gives back the field
 vector scaled to lead coefficient 1.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -62,7 +64,15 @@ def _primitive(row):
 
 def _canonical(x):
     """An int for an integral rational, else the Fraction itself."""
-    return x.numerator if x.__class__ is Fraction and x.denominator == 1 else x
+    if x.__class__ is int:
+        return x
+    return x.numerator if x.denominator == 1 else x
+
+
+def _fraction(n, d):
+    """The non-integral rational n/d, importing ``fractions`` on first use."""
+    from fractions import Fraction
+    return Fraction(n, d)
 
 
 class Rationals:
@@ -91,13 +101,18 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return _canonical(Fraction(1) / a)
+        if a.__class__ is not int:
+            return _canonical(1 / a)
+        return a if a == 1 or a == -1 else _fraction(1, a)
 
     def is_zero(self, a):
         return a == 0
 
     def contains(self, a):
-        return a.__class__ is int or a.__class__ is Fraction
+        if a.__class__ is int:
+            return True
+        from fractions import Fraction
+        return a.__class__ is Fraction
 
     def to_str(self, a):
         return str(a)
@@ -130,7 +145,7 @@ class Rationals:
 
     def from_row(self, row, j):
         lead = row[j]
-        return {k: c // lead if c % lead == 0 else Fraction(c, lead)
+        return {k: c // lead if c % lead == 0 else _fraction(c, lead)
                 for k, c in row.items()}
 
     def spec(self):

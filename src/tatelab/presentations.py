@@ -33,7 +33,11 @@ class PresentationError(ValueError):
     pass
 
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
+def _is_name(s):
+    """A variable name: an ASCII letter or _, then ASCII letters, digits or _."""
+    return s.isascii() and s.isidentifier()
+
+
 # an optional sign, then factors joined by *, + or -; a factor is an ASCII
 # integer or a variable with an optional exponent >= 1, and whitespace
 # stands only next to an operator or at either end
@@ -60,7 +64,7 @@ def parse_polynomial(text, names):
         coeff, expo = 1, [0] * len(names)
         for factor in term.split("*"):
             name, _, e = factor.partition("^")
-            if not _NAME.match(name):
+            if not _is_name(name):
                 coeff *= int(name)
             elif name in index:
                 expo[index[name]] += int(e or 1)
@@ -117,7 +121,7 @@ class Presentation:
 
     def __init__(self, field, variables, relators, base=None):
         for nm, w in variables:
-            if not isinstance(nm, str) or not _NAME.match(nm):
+            if not isinstance(nm, str) or not _is_name(nm):
                 raise PresentationError("bad variable name %r" % (nm,))
             if not isinstance(w, int) or isinstance(w, bool) or w < 1:
                 raise PresentationError("variable %s needs integer degree >= 1" % nm)

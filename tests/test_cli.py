@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, output formats, determinism."""
 
 import collections
+import gc
 import importlib.util
 import json
 import os
@@ -17,6 +18,7 @@ from tatelab.cli import AUDITS, COMMANDS, ROUTE_DEFAULTS, main
 from tatelab.presentations import Presentation
 
 from conftest import CATALOG, load_doc
+from oracles import deviations_from_betti
 from test_golden import TABLE_COMMANDS
 
 
@@ -639,18 +641,67 @@ def test_run_freezes_before_main_and_exits_with_its_code():
     stub = ("import gc\n"
             "from tatelab import cli\n"
             "def main():\n"
-            "    print(gc.get_freeze_count() > 0)\n"
+            "    print(gc.get_freeze_count() > 0, gc.isenabled())\n"
             "    return 2\n"
             "cli.main = main\n"
             "cli.run()\n")
     proc = _process(["-c", stub], capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "True\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "True False\n", "")
+
+
+def test_main_leaves_the_cyclic_collector_as_it_was(capsys):
+    # only run() freezes and disables: an in-process caller keeps its collector
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    assert run(capsys, "ci-check", "--input", cat("ci_q"))[0] == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+
+
+# what ``fields`` imports only on the first non-integral rational
+LAZY = ["decimal", "fractions", "numbers"]
 
 
 def test_cli_imports_neither_argparse_nor_gettext():
-    probe = "import sys, tatelab.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    probe = ("import sys, tatelab.cli; print(sorted(set(%r) & set(sys.modules)))"
+             % (["argparse", "gettext"] + LAZY,))
     proc = _process(["-c", probe], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def _modules_loaded_by(argv):
+    """Exit code and stdout of main(argv) in a fresh process, and which of
+    the modules in LAZY it loaded."""
+    probe = ("import sys\n"
+             "from tatelab import cli\n"
+             "code = cli.main(sys.argv[1:])\n"
+             "sys.stderr.write(repr(sorted(set(%r) & set(sys.modules))))\n"
+             "sys.exit(code)\n" % (LAZY,))
+    proc = _process(["-c", probe] + argv, capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["deviations", "--input", cat("m2zero_q")],
+    ["deviations", "--route", "minimal-model", "--input", cat("m2zero_q")],
+    ["ci-check", "--input", cat("ci_q")],
+    ["audit", "jacobi-zariski", "--input", cat("tower_jz_q")],
+], ids=["closure", "model", "ci-check", "jacobi-zariski"])
+def test_integral_rational_jobs_never_load_fractions(argv):
+    # over Q these jobs meet only integral rationals, which stay ints
+    code, out, loaded = _modules_loaded_by(argv)
+    assert (code, loaded) == (0, "[]")
+    assert out
+
+
+def test_first_non_integral_rational_loads_fractions():
+    # the smallest catalog window that forms a Fraction; its counts are
+    # those of b_n = 2^n all the same
+    code, out, loaded = _modules_loaded_by(
+        ["deviations", "--route", "minimal-model", "--N", "10", "--D", "12",
+         "--input", cat("m2zero_q"), "--format", "json"])
+    assert (code, loaded) == (0, repr(LAZY))
+    doc = json.loads(out)
+    got = [doc["deviations"][str(n)]["count"] for n in range(2, 11)]
+    assert got == deviations_from_betti([2 ** n for n in range(11)], 10)[1:]
 
 
 def test_run_flushes_everything_before_it_ends_the_process():

@@ -20,11 +20,22 @@ def test_rationals_are_ints_when_integral():
     third = QQ.inv(QQ.from_int(3))
     assert third == Fraction(1, 3) and not isinstance(third, float)
     assert type(QQ.from_int(4)) is int
-    assert type(QQ.inv(QQ.from_int(-1))) is int
+    # +-1 are their own inverses, as ints; other ints invert to a Fraction
+    assert [(QQ.inv(a), type(QQ.inv(a))) for a in (1, -1)] == [(1, int), (-1, int)]
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
+    assert QQ.inv(-3) == Fraction(-1, 3)
+    assert type(QQ.inv(Fraction(1, 4))) is int
     assert type(QQ.mul(Fraction(3, 2), Fraction(2, 3))) is int
     row = QQ.from_row({0: 2, 1: 4}, 0)
     assert row == {0: 1, 1: 2} and all(type(c) is int for c in row.values())
-    assert QQ.from_row({0: 2, 1: 3}, 0)[1] == Fraction(3, 2)
+    row = QQ.from_row({0: 4, 1: 8, 2: 6}, 0)
+    assert row == {0: 1, 1: 2, 2: Fraction(3, 2)}
+    assert [type(c) for c in row.values()] == [int, int, Fraction]
+
+
+def test_rationals_contain_ints_and_fractions_only():
+    assert QQ.contains(Fraction(2, 3)) and QQ.contains(-5)
+    assert not any(QQ.contains(a) for a in (1.0, "1", True, None))
 
 
 def test_prime_field_arithmetic():

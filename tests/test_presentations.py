@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from tatelab.audits import build_layer_chain
 from tatelab.fields import PrimeField, QQ
-from tatelab.presentations import (Presentation, PresentationError,
+from tatelab.presentations import (Presentation, PresentationError, _is_name,
                                    parse_polynomial, parse_presentation)
 
 from conftest import (NONUNIT_Q, SINGLE_INSTANCES, TOP_DEGREES, TOWER_INSTANCES,
@@ -137,6 +138,23 @@ def test_terms_that_vanish_in_the_field_are_dropped(relator):
     assert parse_presentation(doc).base.relators == ({(0, 2): 1},)
     with pytest.raises(PresentationError):
         P(["x^2", relator])
+
+
+# the reference for _is_name: the pattern names were checked against
+OLD_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
+NAME_CASES = ["", "1x", "x\n", "\u00e9", "x\u00e9", "if", "None", "lambda", "_", "x_1",
+              "X9", " x", "x y", "x-1", "\u0660", "x\u00b2", "\u212a"]
+
+
+@seed(20261021)
+@settings(max_examples=300, deadline=None, database=None)
+@given(text=st.sampled_from(NAME_CASES)
+       | st.text(alphabet="aZ_09 \n-\u00e9\u00aa\u00b2\u0660\u212a", max_size=5)
+       | st.text(alphabet=st.characters(max_codepoint=0x3ff), max_size=6))
+def test_name_check_accepts_what_the_old_pattern_did(text):
+    # on ASCII text isidentifier() is exactly [A-Za-z_][A-Za-z_0-9]*, and a
+    # name with anything else is refused by both
+    assert _is_name(text) == bool(OLD_NAME.match(text))
 
 
 def test_duplicate_variable_names_rejected():
