@@ -310,9 +310,8 @@ def run():
     every full collection, and the collector is then switched off.  The
     reference cycles a command makes are its towers (an element refers to
     its tower, the tower to its variables, a variable to its differential),
-    which live until the process ends, and a few small ones that only the
-    collector could free before it: the recursive enumerator of each
-    ``ExtensionTower._patterns`` call and the odd tower a command drops.
+    which live until the process ends, and the odd tower a command drops,
+    which only the collector could free before it.
     ``main`` neither freezes nor disables: a process that calls it many
     times would keep, at each call, the towers that earlier calls left for
     the collector.  Once stdout and stderr are flushed the process ends

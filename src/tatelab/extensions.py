@@ -408,11 +408,13 @@ class ExtensionTower:
         variables = self.variables
         hdegs = [v.hdeg for v in variables if v.hdeg < n]
 
-        def rec(i, h, dd, head):
+        def rec(rec, i, h, dd, head):
             # the next factor is v_j^e for some j >= i with hdeg <= h (hdeg
             # weakly increases); patterns that skip v_j come before patterns
             # that use it, so j runs down, and the depth is the factor count.
-            # hh and rest are what v_j^e leaves of h and dd
+            # hh and rest are what v_j^e leaves of h and dd.  rec is passed
+            # to itself, not read from its closure, so no reference cycle
+            # outlives the call
             for j in range(bisect_right(hdegs, h) - 1, i - 1, -1):
                 v = variables[j]
                 top = 1 if v.flavor == EXTERIOR else h // v.hdeg
@@ -420,12 +422,12 @@ class ExtensionTower:
                 while e <= top and rest >= 0:
                     ext = head + ((j, e),)
                     if hh:
-                        rec(j + 1, hh, rest, ext)
+                        rec(rec, j + 1, hh, rest, ext)
                     else:
                         out.append((ext, cap - rest))
                     e, hh, rest = e + 1, hh - v.hdeg, rest - v.ideg
 
-        rec(0, n, cap, ())
+        rec(rec, 0, n, cap, ())
         return tuple(out)
 
     def piece(self, n, d):

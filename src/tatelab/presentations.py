@@ -314,6 +314,28 @@ class Presentation:
             elif d - top == wmax:
                 return top
 
+    def deviation_bound(self, n, cap):
+        """The least known j_max with eps_{n,j} = 0 for j > j_max, or None
+        when no bound applies; ``top_degree(cap)`` looks for the top degree.
+
+        eps_{n,j} <= b_{n,j}, since the acyclic closure is a minimal
+        resolution of k with its variables among its basis words, so a
+        bound on Tor_n(k, k)_j bounds eps_{n,j}.  Two apply.  With top
+        degree s, the bar construction has internal degrees <= n*s in
+        homological degree n, so j_max <= n*s.  With every weight 1 and
+        every relator a monomial of degree <= m, Backelin's rate bound,
+        rate <= m - 1, gives j_max <= 1 + (m - 1)*(n - 1); without
+        relators the ring is polynomial, hence Koszul, and m = 2 holds.
+        """
+        bounds = []
+        s = self.top_degree(cap)
+        if s is not None:
+            bounds.append(n * s)
+        if all(w == 1 for w in self.weights) and all(len(f) == 1 for f in self.relators):
+            m = max((self.degree_of(next(iter(f))) for f in self.relators), default=2)
+            bounds.append(1 + (m - 1) * (n - 1))
+        return min(bounds, default=None)
+
     def reduce_monomial(self, mono):
         """Normal form of a (not necessarily standard) monomial: {std mono: scalar}.
 

@@ -128,24 +128,24 @@ def _build_stages(ground, flavor, stage1, N, D, ring, lag):
     of H_{n-1}.
 
     ring is a ring S whose stage-n variables count eps_{n + lag}(S) by
-    internal degree, or None when no ring bounds them.  If S has top
-    degree s (S_d = 0 for d > s), the bar construction of S has internal
-    degrees <= n*s in homological degree n, and eps_{n,j}(S) = 0 for
-    j > n*s: a stage-n variable has internal degree at most (n + lag)*s.
-    Stage n is scanned only up to that bound, and H_{n-1} = 0 is then
-    recorded through D, which the theorem gives.  Stage 2, the first one
-    scanned, stops short of D only when (2 + lag)*s < D, so s is looked
-    for up to D // (2 + lag).  The tower is the one a scan through D
-    builds.
+    internal degree, or None when no ring bounds them.  A stage-n variable
+    then has internal degree at most S's ``deviation_bound`` of n + lag,
+    the least of (n + lag)*s for a top degree s of S and Backelin's
+    1 + (m - 1)*(n + lag - 1) for a standard-graded S with monomial
+    relators of degree <= m.  Stage n is scanned only up to that bound,
+    and H_{n-1} = 0 is then recorded through D, which the theorems give.
+    Stage 2, the first one scanned, stops short of D by the top degree
+    only when (2 + lag)*s < D, so s is looked for up to D // (2 + lag).
+    The tower is the one a scan through D builds.
     """
     if N < 1:
         raise ResolutionError("stage bound must be >= 1")
     tower = ExtensionTower(ground, flavor, nmax=N, dmax=D)
     for i, (d, g) in enumerate(stage1):
         tower.adjoin(_variable_name(tower, 1, i + 1), 1, d, tower.ground_element(g))
-    top = None if ring is None else ring.top_degree(D // (2 + lag))
     for q in range(1, N):
-        minimal_generators(tower, q, D if top is None else min(D, (q + 1 + lag) * top))
+        bound = None if ring is None else ring.deviation_bound(q + 1 + lag, D // (2 + lag))
+        minimal_generators(tower, q, D if bound is None else min(D, bound))
         tower.mark_acyclic(q, D)
     return tower
 
@@ -159,7 +159,7 @@ def build_minimal_model(pres, N, D):
     """
     base = pres.free_base()
     # stage n counts eps_{n+1}(S) over a polynomial base, and eps(S|R),
-    # which S's top degree does not bound, over a quotient base
+    # which no bound on the deviations of S limits, over a quotient base
     ring = None if base.relators else pres
     return _build_stages(base, "plain", kernel_generators(pres), N, D, ring, 1)
 

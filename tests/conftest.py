@@ -22,6 +22,23 @@ TOWER_INSTANCES = ["tower_ci_q", "tower_jz_q", "tower_jz_f2"]
 TOP_DEGREES = {"hyp_q": 1, "hyp_f2": 1, "ci_q": 3, "m2zero_q": 1, "m2zero_f2": 1,
                "m2zero_f5": 1, "cidiag_f2": 2, "xsq_xy_q": None, "hyp_weighted_q": None}
 
+
+def monomial_relator_degree(doc):
+    """The largest relator degree m of a ring of weights 1 whose relators
+    are monomials, read off the JSON strings ('x^2', 'x*y'), or None for
+    any other ring; a relator-free ring of weights 1 gives 2."""
+    if any(v["degree"] != 1 for v in doc["variables"]):
+        return None
+    degrees = []
+    for f in doc["relators"]:
+        if "+" in f or "-" in f:
+            return None
+        degrees.append(sum(int(e or 1) for name, _, e in
+                           (factor.strip().partition("^") for factor in f.split("*"))
+                           if not name.isdigit()))
+    return max(degrees, default=2)
+
+
 # a Q ring whose eliminations meet non-unit pivots and print non-integral
 # coefficients
 NONUNIT_Q = {"field": {"type": "Q"},
@@ -36,6 +53,11 @@ def load_doc(name):
 
 def load_pres(name):
     return parse_presentation(load_doc(name))
+
+
+# the m of monomial_relator_degree for each single instance: Backelin's rate
+# bound puts eps_{n,j} = 0 above j = 1 + (m - 1)*(n - 1) where it is not None
+RATE_DEGREES = {name: monomial_relator_degree(load_doc(name)) for name in SINGLE_INSTANCES}
 
 
 def homology_dim(t, n, d):

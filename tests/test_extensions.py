@@ -1,6 +1,7 @@
 """Tower algebra laws: signs, squares, divided powers, differentials."""
 
 import ast
+import gc
 import math
 import random
 import re
@@ -355,6 +356,24 @@ def test_pieces_follow_interleaved_adjoins(flavor, dmax):
         for n in range(7):
             for d in range(9):
                 assert t.piece(n, d) == brute_force_piece(t, n, d), (name, n, d)
+
+
+def test_pattern_enumeration_leaves_no_reference_cycle():
+    # a process runs with the cyclic collector off, so an enumeration must
+    # free what it allocates by reference counts alone: with the collector
+    # off throughout, a collection afterwards finds nothing unreachable
+    t = build_acyclic_closure(load_pres("m2zero_f2"), 6, 8)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        patterns = [t._patterns(n, 8) for n in range(1, 8)]
+        found = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert found == 0
+    assert sum(map(len, patterns)) > 0
 
 
 def test_deep_closure_betti_numbers_match_closed_form():

@@ -8,6 +8,8 @@ weight 1-2 and 1-3 homogeneous monomial or binomial relators of degree
 or -3, so eliminations over Q meet non-unit pivots.  The strategy draws only
 what the parser accepts: no monomial of a relator is linear, and no
 relator vanishes in the field, since each keeps a term with coefficient 1.
+A second strategy draws standard-graded rings with monomial relators of
+degree 2-4, on which Backelin's rate bound applies.
 """
 
 from unittest.mock import patch
@@ -22,7 +24,8 @@ from tatelab.presentations import Presentation, parse_presentation
 from tatelab.resolution import (build_acyclic_closure, build_minimal_model,
                                 kernel_generators)
 
-from conftest import TOWER_INSTANCES, check_kernels, check_top_degree, load_doc
+from conftest import (TOWER_INSTANCES, check_kernels, check_top_degree, load_doc,
+                      monomial_relator_degree)
 from oracles import betti_oracle
 from reference import RefElement
 
@@ -90,7 +93,7 @@ def test_routes_and_oracle_agree_on_generated_rings(doc):
 
 def with_pure_powers(doc):
     """The drawn ring with the square of every variable added: artinian, so
-    the builders stop each stage at its top-degree bound."""
+    the builders stop each stage at its deviation bound."""
     return dict(doc, relators=doc["relators"] + ["%s^2" % v["name"] for v in doc["variables"]])
 
 
@@ -99,16 +102,47 @@ def with_pure_powers(doc):
 @given(presentations())
 def test_top_degree_bound_builds_the_unbounded_tower_on_generated_rings(doc):
     # the top degree agrees with DenseRing on the drawn ring and on its
-    # artinian variant, and where it bounds a stage below D = 8, both
-    # routes build the towers they build with it patched to None
+    # artinian variant, and where the deviation bound (a top degree, or
+    # Backelin's rate bound on weights 1 and monomial relators) caps a stage
+    # below D = 8, both routes build the towers they build with no bound
     builds = ((build_acyclic_closure, N), (build_minimal_model, N - 1))
     for variant in (doc, with_pure_powers(doc)):
-        if check_top_degree(variant, range(5)) is None:
+        check_top_degree(variant, range(5))
+        if parse_presentation(variant).deviation_bound(2, 4) is None:
             continue
         towers = [build(parse_presentation(variant), n, 8).dump() for build, n in builds]
-        with patch.object(Presentation, "top_degree", lambda self, cap: None):
+        with patch.object(Presentation, "deviation_bound", lambda self, n, cap: None):
             assert [build(parse_presentation(variant), n, 8).dump()
                     for build, n in builds] == towers
+
+
+@st.composite
+def monomial_presentations(draw):
+    """Standard-graded rings with 1-3 monomial relators of degree 2-4 in
+    2-3 variables, over Q, F_2 and F_3."""
+    nvars = draw(st.integers(2, 3))
+    monos = [m for d in (2, 3, 4) for m in monomials([1] * nvars, d)]
+    relators = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+    return {"field": draw(st.sampled_from(FIELDS[:3])),
+            "variables": [{"name": NAMES[i], "degree": 1} for i in range(nvars)],
+            "relators": [mono_str(m) for m in relators], "base_relators": []}
+
+
+@seed(20261022)
+@settings(max_examples=50, deadline=None, database=None)
+@given(monomial_presentations())
+def test_closure_deviations_lie_within_the_rate_bound_on_drawn_monomial_rings(doc):
+    # the closure scanned through D with no bound has every eps_{n,j} at
+    # or below the deviation bound, and that is at most Backelin's
+    # 1 + (m - 1)*(n - 1), m the largest relator degree drawn
+    pres = parse_presentation(doc)
+    with patch.object(Presentation, "deviation_bound", lambda self, n, cap: None):
+        closure = build_acyclic_closure(pres, N, 9)
+    m = monomial_relator_degree(doc)
+    for n in range(1, N + 1):
+        bound = pres.deviation_bound(n, 9)
+        assert bound <= 1 + (m - 1) * (n - 1), (n, bound)
+        assert all(v.ideg <= bound for v in closure.variables_of_hdeg(n)), (n, bound)
 
 
 def invariants(doc):

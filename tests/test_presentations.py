@@ -9,9 +9,10 @@ from tatelab.audits import build_layer_chain
 from tatelab.fields import PrimeField, QQ
 from tatelab.presentations import (Presentation, PresentationError, _is_name,
                                    parse_polynomial, parse_presentation)
+from tatelab.resolution import build_acyclic_closure
 
-from conftest import (NONUNIT_Q, SINGLE_INSTANCES, TOP_DEGREES, TOWER_INSTANCES,
-                      check_top_degree, load_doc, load_pres)
+from conftest import (NONUNIT_Q, RATE_DEGREES, SINGLE_INSTANCES, TOP_DEGREES,
+                      TOWER_INSTANCES, check_top_degree, load_doc, load_pres)
 from reference import multiply
 
 VARS_XY = [("x", 1), ("y", 1)]
@@ -268,6 +269,46 @@ def test_top_degree_reads_no_degree_below_a_variable_above_cap(monkeypatch):
     p = P(["x^2"], variables=[("x", 1), ("y", 10 ** 9)])
     monkeypatch.setattr(Presentation, "_degree_data", unread)
     assert [p.top_degree(cap) for cap in (0, 4, 10 ** 9 - 1)] == [None] * 3
+
+
+# -- deviation bound ------------------------------------------------------------
+
+MONOMIAL_INSTANCES = [name for name in SINGLE_INSTANCES if RATE_DEGREES[name] is not None]
+
+
+@pytest.mark.parametrize("name", MONOMIAL_INSTANCES)
+def test_deviation_bound_holds_on_the_unbounded_closure(monkeypatch, name):
+    # the bound is the least of n*s and Backelin's 1 + (m - 1)*(n - 1), s
+    # and m read off the catalog, and the closure scanned through D with no
+    # bound has every eps_{n,j} at or below it
+    N, D = 6, 12
+    pres = load_pres(name)
+    monkeypatch.setattr(Presentation, "deviation_bound", lambda self, n, cap: None)
+    closure = build_acyclic_closure(pres, N, D)
+    monkeypatch.undo()
+    s, m = TOP_DEGREES[name], RATE_DEGREES[name]
+    for n in range(1, N + 1):
+        bound = pres.deviation_bound(n, D)
+        rate = 1 + (m - 1) * (n - 1)
+        assert bound == (rate if s is None else min(rate, n * s)), n
+        assert all(v.ideg <= bound for v in closure.variables_of_hdeg(n)), (n, bound)
+
+
+def test_deviation_bound_needs_a_top_degree_or_weights_one_and_monomials():
+    # neither bound: weights 1 and 2, a standard-graded binomial, and a
+    # monomial ring with a variable of weight 2, none of them artinian
+    assert load_pres("hyp_weighted_q").deviation_bound(3, 12) is None
+    assert P(["x^2 + y^2"]).deviation_bound(3, 12) is None
+    assert P(["x^2", "x*y"], variables=[("x", 1), ("y", 2)]).deviation_bound(3, 12) is None
+    # one bound each: the top degree 5 of a weighted artinian ring and 2
+    # of a binomial one, the rate bound on a polynomial ring (m = 2, Koszul)
+    assert parse_presentation(WEIGHTED_ARTINIAN).deviation_bound(3, 12) == 15
+    assert parse_presentation(NONUNIT_Q).deviation_bound(3, 12) == 6
+    assert P([]).deviation_bound(3, 12) == 3
+    # the lesser of the two, and a top degree above the cap is not seen:
+    # x^2, y^2, x*y^3 has s = 2 and m = 4, so 3*s = 6 and 1 + 3*2 = 7
+    pres = P(["x^2", "y^2", "x*y^3"])
+    assert [pres.deviation_bound(3, cap) for cap in (1, 2)] == [7, 6]
 
 
 # -- normal form and multiplication -----------------------------------------

@@ -20,8 +20,8 @@ from tatelab.resolution import (ResolutionError, build_acyclic_closure,
                                 koszul_complex, koszul_on_minimal_generators,
                                 minimal_generators)
 
-from conftest import (CATALOG, NONUNIT_Q, SINGLE_INSTANCES, TOP_DEGREES, check_kernel,
-                      check_kernels, homology_dim, load_doc, load_pres)
+from conftest import (CATALOG, NONUNIT_Q, RATE_DEGREES, SINGLE_INSTANCES, TOP_DEGREES,
+                      check_kernel, check_kernels, homology_dim, load_doc, load_pres)
 from oracles import betti_oracle, deviations_from_betti
 from reference import RefElement, coords, ref, word_differential
 
@@ -639,14 +639,19 @@ GUARDED = [(build_minimal_model, "m2zero_q"), (build_acyclic_closure, "m2zero_f2
 
 def kernel_reach(build, name, N, D):
     """The internal degree through which every stage of a build over a
-    catalog ring takes its kernels: D, or the bound of stage N where the
-    ring has a top degree s, N*s for the closure and (N + 1)*s for the
-    model over the polynomial ring."""
-    s = TOP_DEGREES[name]
-    if s is None:
-        return D
+    catalog ring takes its kernels: D, or the bound of stage N, whose
+    variables count eps_{N + lag}, lag 0 for the closure and 1 for the
+    model over the polynomial ring.  That is (N + lag)*s where the ring
+    has a top degree s, and 1 + (m - 1)*(N - 1 + lag) where its weights
+    are 1 and its relators monomials of degree <= m, whichever is less."""
     lag = 1 if build is build_minimal_model else 0
-    return min(D, (N + lag) * s)
+    s, m = TOP_DEGREES[name], RATE_DEGREES[name]
+    reach = D
+    if s is not None:
+        reach = min(reach, (N + lag) * s)
+    if m is not None:
+        reach = min(reach, 1 + (m - 1) * (N - 1 + lag))
+    return reach
 
 
 @pytest.fixture
@@ -928,29 +933,30 @@ def test_kernel_takes_the_kernel_below_when_its_free_list_is_not_kept(monkeypatc
 
 
 def kernel_row_adds(monkeypatch):
-    """[(q, rows eliminated, rank)] of every kernel taken while
-    minimal_generators runs for stage q + 1, filled as the builders run:
-    those out of (q, d) and those below that they take first."""
+    """[(n, d, rows eliminated, rank)] of every kernel eliminated out of
+    (n, d), filled as the builders run."""
     stats = []
-    stage = [None]
+    taking = []
     adds = [0]
-    select, init, add = (resolution.minimal_generators, linalg.Kernel.__init__,
-                         linalg.Echelon.add)
+    kernel, init, add = ExtensionTower.kernel, linalg.Kernel.__init__, linalg.Echelon.add
 
-    def staged(tower, q, *bounds):
-        stage[0] = q
-        return select(tower, q, *bounds)
+    def tracked(tower, n, d):
+        taking.append((n, d))
+        try:
+            return kernel(tower, n, d)
+        finally:
+            taking.pop()
 
     def counting_init(self, *args):
         before = adds[0]
         init(self, *args)
-        stats.append((stage[0], adds[0] - before, len(self.pivots)))
+        stats.append(taking[-1] + (adds[0] - before, len(self.pivots)))
 
     def counting_add(self, v):
         adds[0] += 1
         return add(self, v)
 
-    monkeypatch.setattr(resolution, "minimal_generators", staged)
+    monkeypatch.setattr(ExtensionTower, "kernel", tracked)
     monkeypatch.setattr(linalg.Kernel, "__init__", counting_init)
     monkeypatch.setattr(linalg.Echelon, "add", counting_add)
     return stats
@@ -959,13 +965,18 @@ def kernel_row_adds(monkeypatch):
 @pytest.mark.parametrize("build, name", GUARDED,
                          ids=lambda x: getattr(x, "__name__", x))
 def test_builder_kernels_eliminate_a_row_basis(monkeypatch, build, name):
-    # stage q killed H_{q-1} through D, so the rows of d_q at the free
-    # columns of d_{q-1} are a row basis: each row eliminated adds a pivot.
-    # A later stage takes d_1 only above stage 2's bound, where S_d = 0
-    # and d_1 maps onto every row
+    # a builder takes the kernel out of (n, d), n >= 2, once stage n is in:
+    # stage n killed H_{n-1} through D (above its scan by the theorems
+    # behind the deviation bound), so the rows of d_n at the free columns
+    # of d_{n-1} are a row basis and each row eliminated adds a pivot.  A
+    # kernel out of (1, d) reads every row of the ground's degree d; a
+    # later stage takes it above stage 2's bound, where d_1 need not map
+    # onto every row: on xsq_xy_q the model's d_1 in degree 4 eliminates
+    # 5 rows for rank 4, since y^4 is not zero in S
     stats = kernel_row_adds(monkeypatch)
-    build(load_pres(name), 6, 10)
-    assert stats and all(adds == rank for q, adds, rank in stats if q >= 2), stats
+    t = build(load_pres(name), 6, 10)
+    assert stats and all(adds == rank for n, _, adds, rank in stats if n >= 2), stats
+    assert all(adds == len(t.piece(0, d)) for n, d, adds, _ in stats if n == 1), stats
 
 
 def test_model_job_kernels_eliminate_few_rows(monkeypatch, capsys):
@@ -977,7 +988,7 @@ def test_model_job_kernels_eliminate_few_rows(monkeypatch, capsys):
                      "--input", os.path.join(CATALOG, "m2zero_q.json")])
     capsys.readouterr()
     assert code == 0
-    assert sum(adds for _, adds, _ in stats) <= 1682
+    assert sum(adds for _, _, adds, _ in stats) <= 1682
 
 
 def test_model_job_reduces_few_boundaries(monkeypatch, capsys):
@@ -997,7 +1008,7 @@ def test_model_job_reduces_few_boundaries(monkeypatch, capsys):
                      "--input", os.path.join(CATALOG, "m2zero_q.json")])
     capsys.readouterr()
     assert code == 0
-    assert total[0] - sum(adds for _, adds, _ in stats) <= 3190
+    assert total[0] - sum(adds for _, _, adds, _ in stats) <= 3190
 
 
 # the closure_fp and model_q jobs of perfbench/jobs.py, with the columns
@@ -1007,12 +1018,13 @@ def test_model_job_reduces_few_boundaries(monkeypatch, capsys):
 # 14) on the model job and (1637, 65, 12) on aq-ranks.  With every stage
 # scanned through D, and not only to the bound the ground's top degree
 # sets, they were (1816, 13, 11) on each closure job and (7316, 48, 8) on
-# the model job
+# the model job; aq-ranks, on a ring with no top degree, was (1158, 43, 7)
+# before Backelin's rate bound capped its stages too
 BUILD_COUNTS = [
     ("m2zero_f2", ("deviations", "--N", "10"), (1816, 11, 11)),
     ("m2zero_f5", ("betti", "--N", "10"), (1816, 11, 11)),
     ("m2zero_q", ("deviations", "--route", "minimal-model", "--N", "8"), (650, 24, 8)),
-    ("xsq_xy_q", ("aq-ranks",), (1158, 43, 7)),
+    ("xsq_xy_q", ("aq-ranks",), (118, 18, 7)),
 ]
 
 
@@ -1046,20 +1058,23 @@ def test_benchmark_jobs_build_only_what_a_stage_reads(monkeypatch, capsys, insta
     assert (counts["columns"], counts["eliminations"], counts["patterns"]) == want
 
 
-# every single instance at the default N = 6, D = 12, then windows where the
-# bound n*s ends far below D: ci_q (s = 3) at D = 20 and a deep m^2 = 0
-CAPPED_WINDOWS = [(name, 6, 12) for name in SINGLE_INSTANCES] + [("ci_q", 6, 20),
-                                                                 ("m2zero_q", 12, 14)]
+# every single instance at the default N = 6, D = 12, then windows where a
+# bound ends far below D: n*s on ci_q (s = 3) at D = 20 and on a deep
+# m^2 = 0, Backelin's 1 + (m - 1)*(n - 1) = n on xsq_xy_q, which has no top
+# degree, and on cidiag_f2, where it is less than n*s = 2n
+CAPPED_WINDOWS = [(name, 6, 12) for name in SINGLE_INSTANCES] + [
+    ("ci_q", 6, 20), ("m2zero_q", 12, 14), ("xsq_xy_q", 12, 20), ("cidiag_f2", 6, 20)]
 
 
 @pytest.mark.parametrize("build", TOWER_KINDS, ids=lambda b: b.__name__)
 @pytest.mark.parametrize("name, N, D", CAPPED_WINDOWS,
                          ids=["%s-%d-%d" % w for w in CAPPED_WINDOWS])
 def test_top_degree_bound_builds_the_unbounded_tower(monkeypatch, name, N, D, build):
-    # a stage stops picking at the bound the ground's top degree sets, and
-    # the tower is the one a scan of every degree through D builds
+    # a stage stops picking at the ground's deviation bound, from its top
+    # degree or from Backelin's rate bound, and the tower is the one a scan
+    # of every degree through D builds
     capped = build(load_pres(name), N, D).dump()
-    monkeypatch.setattr(Presentation, "top_degree", lambda self, cap: None)
+    monkeypatch.setattr(Presentation, "deviation_bound", lambda self, n, cap: None)
     assert build(load_pres(name), N, D).dump() == capped
 
 
@@ -1079,7 +1094,7 @@ def test_builders_read_no_degree_of_a_variable_above_D(monkeypatch, build):
     monkeypatch.setattr(Presentation, "_degree_data", bounded)
     pres = P(["x^2"], variables=(("x", 1), ("y", 10 ** 9)))
     capped = build(pres, 4, 8).dump()
-    monkeypatch.setattr(Presentation, "top_degree", lambda self, cap: None)
+    monkeypatch.setattr(Presentation, "deviation_bound", lambda self, n, cap: None)
     assert build(pres, 4, 8).dump() == capped
 
 
