@@ -138,13 +138,12 @@ class ExtensionTower:
     tables belong to the ground ring (``Presentation.shift``).
     """
 
-    def __init__(self, ground, flavor, dmax, nmax=None):
+    def __init__(self, ground, flavor, dmax):
         if flavor not in ("plain", "gamma"):
             raise TowerError("flavor must be 'plain' or 'gamma'")
         self.ground = ground
         self.field = ground.field
         self.flavor = flavor
-        self.nmax = nmax
         self.dmax = dmax
         self.variables = []
         self._unit = (0,) * len(ground.names)
@@ -375,8 +374,6 @@ class ExtensionTower:
         """
         if n < 0 or d < 0:
             return (), {}, 0
-        if self.nmax is not None and n > self.nmax + 1:
-            raise TowerError("homological bound exceeded: %d > %d" % (n, self.nmax + 1))
         if d > self.dmax:
             raise TowerError("internal bound exceeded: %d > %d" % (d, self.dmax))
         key = ("layout", n, d)
@@ -545,7 +542,7 @@ class ExtensionTower:
 
     def element_str(self, elem):
         order = sorted(elem.terms, key=lambda w: (w[1], tuple(-e for e in w[0])))
-        return join_terms((self.field.to_str(elem.terms[w]), self.word_str(w)) for w in order)
+        return join_terms((str(elem.terms[w]), self.word_str(w)) for w in order)
 
     def dump(self):
         """Tower as a JSON-ready list: one entry per adjoined variable."""

@@ -89,9 +89,6 @@ class Rationals:
     def add(self, a, b):
         return _canonical(a + b)
 
-    def sub(self, a, b):
-        return _canonical(a - b)
-
     def mul(self, a, b):
         return _canonical(a * b)
 
@@ -113,9 +110,6 @@ class Rationals:
             return True
         from fractions import Fraction
         return a.__class__ is Fraction
-
-    def to_str(self, a):
-        return str(a)
 
     # Row form: primitive integer vectors (coprime ints, no Fractions).
 
@@ -182,9 +176,6 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
 
@@ -201,9 +192,6 @@ class PrimeField:
 
     def contains(self, a):
         return a.__class__ is int and 0 <= a < self.p
-
-    def to_str(self, a):
-        return str(a % self.p)
 
     # Row form: the field vector itself; stored pivot rows have lead 1.
 

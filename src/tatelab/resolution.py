@@ -1,7 +1,8 @@
 """Resolution builders: Koszul complexes, minimal models, acyclic closures.
 
-The staged constructions follow one recipe.  Stage 1 adjoins exterior
-variables (killing the ring variables for a closure, a minimal
+The staged constructions follow one recipe, ``_build_stages``, the one
+place a tower is made; a Koszul complex is its stage 1.  Stage 1 adjoins
+exterior variables (killing the ring variables for a closure, a minimal
 generating set of the kernel ideal for a model).  ``minimal_generators``
 builds each later stage n one internal degree at a time: in degree d it
 picks the cycles of homological degree n-1 whose classes the boundaries
@@ -60,24 +61,18 @@ def kernel_generators(pres):
 
 def koszul_complex(pres, D):
     """Exterior tower over the base through degree D, one degree-1 variable
-    per relator beyond the base, in relator order, with it as differential."""
+    per relator beyond the base, in relator order, with it as differential:
+    stage 1 of ``_build_stages`` on those relators."""
     ground = pres.free_base()
-    rels = pres.relators[len(ground.relators):]
-    tower = ExtensionTower(ground, "plain", dmax=D)
-    for i, f in enumerate(rels):
-        g = ground.from_int_poly(f)
-        d = pres.degree_of(next(iter(f)))
-        tower.adjoin("y%d" % (i + 1), 1, d, tower.ground_element(g))
-    return tower
+    rels = [(pres.degree_of(next(iter(f))), ground.from_int_poly(f))
+            for f in pres.relators[len(ground.relators):]]
+    return _build_stages(ground, "plain", rels, 1, D, None, 1)
 
 
 def koszul_on_minimal_generators(pres, D):
-    """Koszul tower through degree D on a minimal generating set of the kernel ideal."""
-    ground = pres.free_base()
-    tower = ExtensionTower(ground, "plain", dmax=D)
-    for i, (d, g) in enumerate(kernel_generators(pres)):
-        tower.adjoin("y%d" % (i + 1), 1, d, tower.ground_element(g))
-    return tower
+    """Koszul tower through degree D on a minimal generating set of the
+    kernel ideal: stage 1 of the minimal model."""
+    return build_minimal_model(pres, 1, D)
 
 
 def _variable_name(tower, n, i):
@@ -140,7 +135,7 @@ def _build_stages(ground, flavor, stage1, N, D, ring, lag):
     """
     if N < 1:
         raise ResolutionError("stage bound must be >= 1")
-    tower = ExtensionTower(ground, flavor, nmax=N, dmax=D)
+    tower = ExtensionTower(ground, flavor, dmax=D)
     for i, (d, g) in enumerate(stage1):
         tower.adjoin(_variable_name(tower, 1, i + 1), 1, d, tower.ground_element(g))
     for q in range(1, N):

@@ -77,12 +77,12 @@ def check_kernel(t, n, d, got):
     return want
 
 
-def check_kernels(t, nmax, D):
+def check_kernels(t, top, D):
     """``check_kernel`` on ``t.kernel(n, d)`` for every piece (n, d) of
-    tower t, n = 1..nmax ascending.  Returns [(n, d, rows named, rank)],
+    tower t, n = 1..top ascending.  Returns [(n, d, rows named, rank)],
     rows named being the free list below or None for all rows."""
     taken = []
-    for n in range(1, nmax + 1):
+    for n in range(1, top + 1):
         for d in range(D + 1):
             rows = t._cache.get(("free", n - 1, d))
             want = check_kernel(t, n, d, t.kernel(n, d))

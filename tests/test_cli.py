@@ -637,6 +637,18 @@ def _process(args, env=None, **kwargs):
                           timeout=60, **kwargs)
 
 
+def test_commands_run_clean_in_dev_mode_with_warnings_as_errors():
+    # -X dev shows ResourceWarning and DeprecationWarning, and -W error makes
+    # any warning fatal; the model route on m2zero_q forms a Fraction
+    for argv in (["deviations", "--input", "catalog/hyp_weighted_q.json"],
+                 ["deviations", "--route", "minimal-model", "--N", "10",
+                  "--input", "catalog/m2zero_q.json"],
+                 ["audit", "ci-vanishing", "--input", "catalog/tower_ci_q.json"]):
+        proc = _process(["-X", "dev", "-W", "error", "-m", "tatelab"] + argv,
+                        capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+
+
 def test_run_freezes_before_main_and_exits_with_its_code():
     stub = ("import gc\n"
             "from tatelab import cli\n"

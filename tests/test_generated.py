@@ -66,8 +66,8 @@ def presentations(draw):
             "relators": relators, "base_relators": []}
 
 
-def assert_d_squared_zero(tower, nmax):
-    for n in range(nmax + 1):
+def assert_d_squared_zero(tower, top):
+    for n in range(top + 1):
         for d in range(D + 1):
             for w in tower.piece(n, d):
                 dd = RefElement.from_word(tower, w).differential().differential()

@@ -175,7 +175,7 @@ def _dense_rank(rows, fld):
         for i in range(len(rows)):
             if i != rank and not fld.is_zero(rows[i][c]):
                 f = rows[i][c]
-                rows[i] = [fld.sub(a, fld.mul(f, b))
+                rows[i] = [fld.add(a, fld.neg(fld.mul(f, b)))
                            for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank

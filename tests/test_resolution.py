@@ -69,7 +69,7 @@ def test_kernel_generators_empty():
 def test_koszul_complex_shape():
     p = P(["x^2", "x*y", "y^2"], base_relators=[])
     t = koszul_complex(p, 12)
-    assert [v.name for v in t.variables] == ["y1", "y2", "y3"]
+    assert [v.name for v in t.variables] == ["y1_1", "y1_2", "y1_3"]
     assert all(v.hdeg == 1 and v.ideg == 2 for v in t.variables)
     assert all(v.flavor == "exterior" for v in t.variables)
 
@@ -85,13 +85,59 @@ def test_koszul_on_minimal_generators_trims():
     assert len(t.variables) == 1
 
 
+def test_koszul_complex_is_the_model_stage_1():
+    # every single instance lists its minimal kernel generators, in
+    # kernel_generators' order, as its relators, so the Koszul complex on
+    # the relators is stage 1 of the minimal model, names and all
+    for name in SINGLE_INSTANCES:
+        pres = load_pres(name)
+        stage1 = [v for v in build_minimal_model(pres, 3, 12).dump() if v["hdeg"] == 1]
+        assert koszul_complex(pres, 12).dump() == stage1, name
+
+
+# -- flat base change ---------------------------------------------------------
+
+def _with_z(doc, square):
+    """doc's ring with a fresh variable z of weight 1, and with z^2 in its
+    base and its relators when square is set."""
+    out = dict(doc, variables=doc["variables"] + [{"name": "z", "degree": 1}])
+    if square:
+        out.update(relators=["z^2"] + doc["relators"], base_relators=["z^2"])
+    return parse_presentation(out)
+
+
+def _stage_degrees(tower, N):
+    return [sorted(v.ideg for v in tower.variables_of_hdeg(n)) for n in range(1, N + 1)]
+
+
+def test_deviations_are_stable_under_flat_base_change():
+    # P[z] -> S[z] and P[z]/(z^2) -> S[z]/(z^2) are flat base changes of
+    # P -> S, so their minimal models keep every stage's internal degrees,
+    # and the closure gains only the deviations of k[z], one variable of
+    # bidegree (1, 1), or of k[z]/(z^2), one more of bidegree (2, 2)
+    N, D = 5, 8
+    for name in SINGLE_INSTANCES:
+        doc = load_doc(name)
+        pres = parse_presentation(doc)
+        model = _stage_degrees(build_minimal_model(pres, N, D), N)
+        closure = _stage_degrees(build_acyclic_closure(pres, N, D), N)
+        if name.startswith("m2zero"):
+            assert [len(degs) for degs in model] == [3, 2, 3, 6, 11]
+        for square in (False, True):
+            ext = _with_z(doc, square)
+            assert _stage_degrees(build_minimal_model(ext, N, D), N) == model, (name, square)
+            gained = [[1], [2] if square else []] + [[]] * (N - 2)
+            want = [sorted(degs + more) for degs, more in zip(closure, gained)]
+            assert _stage_degrees(build_acyclic_closure(ext, N, D), N) == want, (name, square)
+
+
 # -- homology dimensions ------------------------------------------------------
 
 def test_homology_piece_x2_xy():
     p = P(["x^2", "x*y"], base_relators=[])
     t = koszul_complex(p, 12)
     assert homology_dim(t, 1, 3) == 1
-    assert [str(z) for _, z in minimal_generators(t, 1, 3)] == ["y*y1 - x*y2"]
+    assert [str(z) for _, z in minimal_generators(t, 1, 3)] == ["y*y1_1 - x*y1_2"]
 
 
 def test_package_exports_resolve():
